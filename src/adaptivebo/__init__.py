@@ -27,7 +27,6 @@ from .benchmarks import (
     get_test_function,
     levy,
     make_gaussian_mixture,
-    noisy_eval,
     rosenbrock,
 )
 from .errors import (
@@ -43,7 +42,6 @@ from .gp import (
     FittedGP,
     GPConfig,
     KernelParams,
-    composite_kernel,
     fit,
     kernel_eval,
     kernel_matrix,
@@ -54,7 +52,6 @@ from .gp import (
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    Strategy,
     TrialTrace,
     run_experiment,
     run_trial,

@@ -18,20 +18,22 @@ from .errors import NumericalError
 from .gp import FittedGP, predict
 
 
+# Floor on each absolute Hessian eigenvalue in C(x), and the forward-difference
+# step of the Hessian stencil.
+EPS_EIG = 1e-6
+FD_STEP = 1e-4
+
+
 @dataclass(frozen=True)
 class AcquisitionParams:
-    """Weights and numerical settings for the penalized acquisition."""
+    """Weights of the penalized acquisition."""
 
     kappa: float = 1.0
     lambda_pen: float = 0.0
-    eps_eig: float = 1e-6
-    fd_step: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.kappa < 0 or self.lambda_pen < 0:
             raise ValueError("kappa and lambda_pen must be nonnegative")
-        if not (self.eps_eig > 0 and self.fd_step > 0):
-            raise ValueError("eps_eig and fd_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,18 @@ def expected_improvement(mean, sd, f_best):
     return ei
 
 
-def _stencil_offsets(dim: int, h: float) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Forward-stencil offsets: base, base + h e_i, base + h e_i + h e_j (i <= j)."""
+def _stencil_hessians(mean_fn, points: np.ndarray, h: float, lower, upper) -> np.ndarray:
+    """Forward-difference Hessians of ``mean_fn`` at every row of an (m, d) batch.
+
+    ``mean_fn`` maps a (k, d) batch to a (k,) array and is called once, on
+    the (d^2 + 3d)/2 + 1 stencil points of every row: base, base + h e_i and
+    base + h e_i + h e_j (i <= j). Entry (i, j) is
+    [f(x+he_i+he_j) - f(x+he_i) - f(x+he_j) + f(x)] / h^2, written to both
+    triangles, so each (d, d) slice is symmetric. The stencil reaches base + 2h
+    per coordinate, so when box bounds are given each base slides inward and
+    every evaluation stays inside the box.
+    """
+    m, dim = points.shape
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     offsets = np.zeros((1 + dim + len(pairs), dim))
     for i in range(dim):
@@ -81,128 +93,91 @@ def _stencil_offsets(dim: int, h: float) -> tuple[np.ndarray, list[tuple[int, in
     for k, (i, j) in enumerate(pairs):
         offsets[1 + dim + k, i] += h
         offsets[1 + dim + k, j] += h
-    return offsets, pairs
 
-
-def _shift_into_box(
-    x: np.ndarray, h: float, lower: np.ndarray | None, upper: np.ndarray | None
-) -> np.ndarray:
-    # Forward stencil reaches x + 2h per coordinate; slide the base point so
-    # every evaluation stays inside the box.
-    base = np.array(x, dtype=float)
+    bases = points
     if upper is not None:
-        base = np.minimum(base, np.asarray(upper, dtype=float) - 2.0 * h)
+        bases = np.minimum(bases, np.asarray(upper, dtype=float) - 2.0 * h)
     if lower is not None:
-        base = np.maximum(base, np.asarray(lower, dtype=float))
-    return base
+        bases = np.maximum(bases, np.asarray(lower, dtype=float))
+    stencil = (bases[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
+    values = np.asarray(mean_fn(stencil), dtype=float).reshape(m, -1)
+    if not np.isfinite(values).all():
+        raise NumericalError("non-finite values in Hessian stencil")
+
+    f0, fi, fij = values[:, 0], values[:, 1 : 1 + dim], values[:, 1 + dim :]
+    hess = np.empty((m, dim, dim))
+    for k, (i, j) in enumerate(pairs):
+        hess[:, i, j] = hess[:, j, i] = (fij[:, k] - fi[:, i] - fi[:, j] + f0) / (h * h)
+    return hess
+
+
+def _eigen_sum(hess: np.ndarray, eps_eig: float) -> np.ndarray:
+    """Sum of absolute eigenvalues, each floored at ``eps_eig``, over the last two axes."""
+    try:
+        eigvals = np.linalg.eigvalsh(hess)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Hessian eigendecomposition failed") from exc
+    return np.sum(np.maximum(np.abs(eigvals), eps_eig), axis=-1)
 
 
 def hessian_fd(mean_fn, x: np.ndarray, h: float, lower=None, upper=None) -> HessianEstimate:
     """Finite-difference Hessian of ``mean_fn`` at ``x`` via a four-point forward stencil.
 
     ``mean_fn`` maps an (m, d) batch of points to an (m,) array of values.
-    Entry (i, j) is [f(x+he_i+he_j) - f(x+he_i) - f(x+he_j) + f(x)] / h^2;
-    the result is symmetrized as (H + H^T)/2. When box bounds are given the
-    stencil base is shifted inward so all evaluations stay inside.
+    When box bounds are given the stencil base is shifted inward so all
+    evaluations stay inside.
     """
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[0]
-    base = _shift_into_box(x, h, lower, upper)
-    offsets, pairs = _stencil_offsets(dim, h)
-    values = np.asarray(mean_fn(base + offsets), dtype=float)
-    if not np.isfinite(values).all():
-        raise NumericalError("non-finite values in Hessian stencil")
-
-    f0 = values[0]
-    fi = values[1 : 1 + dim]
-    fij = values[1 + dim :]
-    hess = np.empty((dim, dim))
-    for k, (i, j) in enumerate(pairs):
-        hess[i, j] = hess[j, i] = (fij[k] - fi[i] - fi[j] + f0) / (h * h)
-    return HessianEstimate((hess + hess.T) / 2.0)
+    point = np.asarray(x, dtype=float)[None, :]
+    return HessianEstimate(_stencil_hessians(mean_fn, point, h, lower, upper)[0])
 
 
-def complexity_factor(hessian: HessianEstimate, eps_eig: float) -> float:
+def complexity_factor(hessian: HessianEstimate, eps_eig: float = EPS_EIG) -> float:
     """Sum of absolute Hessian eigenvalues, each floored at ``eps_eig``."""
-    try:
-        eigvals = np.linalg.eigvalsh(hessian.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Hessian eigendecomposition failed") from exc
-    return float(np.sum(np.maximum(np.abs(eigvals), eps_eig)))
-
-
-def _mean_fn(gp: FittedGP):
-    def mean(points: np.ndarray) -> np.ndarray:
-        mu, _ = predict(gp, np.atleast_2d(points))
-        return mu
-
-    return mean
-
-
-def uncertainty_measure(
-    gp: FittedGP, x: np.ndarray, params: AcquisitionParams, lower=None, upper=None
-) -> float:
-    """Variance-weighted local complexity sigma^2(x) * C(x)."""
-    _, var = predict(gp, np.asarray(x, dtype=float))
-    hess = hessian_fd(_mean_fn(gp), x, params.fd_step, lower=lower, upper=upper)
-    return var * complexity_factor(hess, params.eps_eig)
-
-
-def adaptive_acquisition(
-    gp: FittedGP, x: np.ndarray, params: AcquisitionParams, lower=None, upper=None
-) -> float:
-    """Penalized acquisition mu + kappa*sigma - lambda * sigma^2 * C at a point."""
-    mean, var = predict(gp, np.asarray(x, dtype=float))
-    sd = np.sqrt(var)
-    if params.lambda_pen == 0.0:
-        return mean + params.kappa * sd
-    pen = uncertainty_measure(gp, x, params, lower=lower, upper=upper)
-    return mean + params.kappa * sd - params.lambda_pen * pen
+    return float(_eigen_sum(hessian.matrix, eps_eig))
 
 
 def complexity_factor_batch(
-    gp: FittedGP, points: np.ndarray, params: AcquisitionParams, lower=None, upper=None
+    gp: FittedGP, points: np.ndarray, lower=None, upper=None
 ) -> np.ndarray:
-    """Complexity factors for an (m, d) batch with a single batched mean call.
+    """Complexity factors C(x) of the posterior mean for an (m, d) batch.
 
-    Evaluates the (d^2 + 3d)/2 + 1 stencil points of every row at once, which
-    keeps the per-candidate cost of the penalty term down during the global
-    acquisition search.
+    Evaluates the stencil points of every row in a single ``predict`` call,
+    which keeps the per-candidate cost of the penalty term down during the
+    global acquisition search.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m, dim = points.shape
-    h = params.fd_step
-    offsets, pairs = _stencil_offsets(dim, h)
-    bases = points.copy()
-    if upper is not None:
-        bases = np.minimum(bases, np.asarray(upper, dtype=float) - 2.0 * h)
-    if lower is not None:
-        bases = np.maximum(bases, np.asarray(lower, dtype=float))
-    stencil = (bases[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
-    values, _ = predict(gp, stencil)
-    values = values.reshape(m, -1)
-    if not np.isfinite(values).all():
-        raise NumericalError("non-finite values in Hessian stencil")
-
-    f0 = values[:, 0]
-    fi = values[:, 1 : 1 + dim]
-    fij = values[:, 1 + dim :]
-    hess = np.empty((m, dim, dim))
-    for k, (i, j) in enumerate(pairs):
-        hij = (fij[:, k] - fi[:, i] - fi[:, j] + f0) / (h * h)
-        hess[:, i, j] = hess[:, j, i] = hij
-    eigvals = np.linalg.eigvalsh(hess)
-    return np.sum(np.maximum(np.abs(eigvals), params.eps_eig), axis=1)
+    hess = _stencil_hessians(lambda q: predict(gp, q)[0], points, FD_STEP, lower, upper)
+    return _eigen_sum(hess, EPS_EIG)
 
 
 def adaptive_acquisition_batch(
     gp: FittedGP, points: np.ndarray, params: AcquisitionParams, lower=None, upper=None
 ) -> np.ndarray:
-    """Penalized acquisition over an (m, d) batch of points."""
+    """Penalized acquisition mu + kappa*sigma - lambda * sigma^2 * C over an (m, d) batch."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     mean, var = predict(gp, points)
     base = mean + params.kappa * np.sqrt(var)
     if params.lambda_pen == 0.0:
         return base
-    comp = complexity_factor_batch(gp, points, params, lower=lower, upper=upper)
+    comp = complexity_factor_batch(gp, points, lower=lower, upper=upper)
     return base - params.lambda_pen * (var * comp)
+
+
+def uncertainty_measure(
+    gp: FittedGP, x: np.ndarray, params: AcquisitionParams, lower=None, upper=None
+) -> float:
+    """Variance-weighted local complexity sigma^2(x) * C(x) at a point.
+
+    ``params`` carries no setting U depends on; it mirrors :func:`adaptive_acquisition`.
+    """
+    point = np.asarray(x, dtype=float)[None, :]
+    _, var = predict(gp, point)
+    return float(var[0] * complexity_factor_batch(gp, point, lower=lower, upper=upper)[0])
+
+
+def adaptive_acquisition(
+    gp: FittedGP, x: np.ndarray, params: AcquisitionParams, lower=None, upper=None
+) -> float:
+    """Penalized acquisition at a single point (a one-row batch)."""
+    point = np.asarray(x, dtype=float)[None, :]
+    return float(adaptive_acquisition_batch(gp, point, params, lower=lower, upper=upper)[0])

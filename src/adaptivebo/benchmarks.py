@@ -1,4 +1,4 @@
-"""Benchmark objectives with known optima and noisy-evaluation wrappers."""
+"""Benchmark objectives with known or estimated optima."""
 
 from __future__ import annotations
 
@@ -116,16 +116,6 @@ def gaussian_mixture_eval(spec: GaussianMixtureSpec, x) -> float:
         quad = float(diff @ cho_solve((chol, True), diff))
         total += spec.weights[j] * np.exp(-0.5 * quad)
     return float(total)
-
-
-def noisy_eval(f: Callable, x, sigma_n: float, rng: np.random.Generator) -> float:
-    """Evaluate ``f`` with additive N(0, sigma_n^2) noise; exact when sigma_n = 0."""
-    if sigma_n < 0:
-        raise ValueError("sigma_n must be nonnegative")
-    value = float(f(x))
-    if sigma_n == 0.0:
-        return value
-    return value + float(rng.normal(0.0, sigma_n))
 
 
 @dataclass(frozen=True)

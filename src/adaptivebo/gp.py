@@ -18,17 +18,10 @@ from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, NonPositiveDefiniteError, NumericalError
 
-MATERN25 = "matern25"
-SQUARED_EXPONENTIAL = "squared_exponential"
-RATIONAL_QUADRATIC = "rational_quadratic"
-
-KERNEL_KINDS = (MATERN25, SQUARED_EXPONENTIAL, RATIONAL_QUADRATIC)
-
 # Default hyperparameter search boxes, assuming inputs scaled to the unit box.
 DEFAULT_HYPER_BOUNDS: Mapping[str, tuple[float, float]] = {
     "amplitude_sq": (1e-3, 1e3),
     "length_scale": (1e-2, 1e2),
-    "rq_alpha": (1e-2, 1e2),
 }
 
 # Lower bound when observation-noise variance is learned rather than known.
@@ -41,22 +34,16 @@ VARIANCE_FLOOR = -1e-9
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Stationary-kernel hyperparameters (single amplitude, isotropic length scale)."""
+    """Matern-2.5 hyperparameters (single amplitude, isotropic length scale)."""
 
     amplitude_sq: float = 1.0
     length_scale: float = 1.0
-    kernel_kind: str = MATERN25
-    rq_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kernel_kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
         if not self.amplitude_sq > 0:
             raise ValueError("amplitude_sq must be positive")
         if not self.length_scale > 0:
             raise ValueError("length_scale must be positive")
-        if not self.rq_alpha > 0:
-            raise ValueError("rq_alpha must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,21 +113,14 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Pairwise covariance matrix between row-point arrays ``a`` and ``b``."""
+    """Matern-2.5 covariance matrix between row-point arrays ``a`` and ``b``.
+
+    sigma_f^2 (1 + sqrt(5) r/l + 5 r^2 / (3 l^2)) exp(-sqrt(5) r/l).
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    r2 = _sq_dists(a, b)
-    s2 = params.amplitude_sq
-    ell = params.length_scale
-    if params.kernel_kind == MATERN25:
-        # sigma_f^2 (1 + sqrt(5) r/l + 5 r^2 / (3 l^2)) exp(-sqrt(5) r/l)
-        u = np.sqrt(5.0 * r2) / ell
-        return s2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
-    if params.kernel_kind == SQUARED_EXPONENTIAL:
-        return s2 * np.exp(-0.5 * r2 / (ell * ell))
-    # rational quadratic: sigma_f^2 (1 + r^2 / (2 alpha l^2))^(-alpha)
-    al = params.rq_alpha
-    return s2 * (1.0 + r2 / (2.0 * al * ell * ell)) ** (-al)
+    u = np.sqrt(5.0 * _sq_dists(a, b)) / params.length_scale
+    return params.amplitude_sq * (1.0 + u + u * u / 3.0) * np.exp(-u)
 
 
 def kernel_eval(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
@@ -148,17 +128,6 @@ def kernel_eval(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
     a = np.asarray(a, dtype=float).reshape(1, -1)
     b = np.asarray(b, dtype=float).reshape(1, -1)
     return float(kernel_matrix(a, b, params)[0, 0])
-
-
-def composite_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
-    """Constant-scale times unit-amplitude Matern-2.5 covariance.
-
-    The two factors share a single merged amplitude, so this coincides with
-    :func:`kernel_eval` for Matern-2.5 parameters.
-    """
-    if params.kernel_kind != MATERN25:
-        raise ValueError("composite kernel requires the Matern-2.5 kernel")
-    return kernel_eval(a, b, params)
 
 
 @dataclass(frozen=True)
@@ -259,26 +228,19 @@ def log_marginal_likelihood(gp: FittedGP) -> float:
 
 def _pack(params: KernelParams, noise: float | None) -> np.ndarray:
     theta = [np.log(params.amplitude_sq), np.log(params.length_scale)]
-    if params.kernel_kind == RATIONAL_QUADRATIC:
-        theta.append(np.log(params.rq_alpha))
     if noise is not None:
         theta.append(np.log(noise))
     return np.array(theta)
 
 
 def _unpack(
-    theta: np.ndarray, template: KernelParams, learn_noise: bool, box: np.ndarray
+    theta: np.ndarray, learn_noise: bool, box: np.ndarray
 ) -> tuple[KernelParams, float | None]:
     # Clip after exponentiating: the log/exp round trip can land a hair
     # outside the stated bounds.
     vals = np.clip(np.exp(theta), box[:, 0], box[:, 1])
-    kwargs = {"amplitude_sq": float(vals[0]), "length_scale": float(vals[1])}
-    idx = 2
-    if template.kernel_kind == RATIONAL_QUADRATIC:
-        kwargs["rq_alpha"] = float(vals[idx])
-        idx += 1
-    noise = float(vals[idx]) if learn_noise else None
-    return replace(template, **kwargs), noise
+    noise = float(vals[2]) if learn_noise else None
+    return KernelParams(float(vals[0]), float(vals[1])), noise
 
 
 def optimize_hyperparameters(
@@ -305,23 +267,17 @@ def optimize_hyperparameters(
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
 
-    merged = dict(DEFAULT_HYPER_BOUNDS)
-    if bounds:
-        merged.update(bounds)
-    names = ["amplitude_sq", "length_scale"]
-    if kernel.kernel_kind == RATIONAL_QUADRATIC:
-        names.append("rq_alpha")
-    box = [merged[name] for name in names]
+    merged = {**DEFAULT_HYPER_BOUNDS, **(bounds or {})}
+    box = [merged["amplitude_sq"], merged["length_scale"]]
     learn_noise = noise_bounds is not None
     if learn_noise:
         lo, hi = noise_bounds
         box.append((max(lo, MIN_LEARNED_NOISE), hi))
-    log_box = np.log(np.asarray(box, dtype=float))
-
     box_arr = np.asarray(box, dtype=float)
+    log_box = np.log(box_arr)
 
     def objective(theta: np.ndarray) -> float:
-        params, noise = _unpack(theta, kernel, learn_noise, box_arr)
+        params, noise = _unpack(theta, learn_noise, box_arr)
         cfg = config if noise is None else replace(config, noise_variance=noise)
         try:
             model = fit(dataset, params, cfg)
@@ -363,6 +319,6 @@ def optimize_hyperparameters(
             RuntimeWarning,
             stacklevel=2,
         )
-    params, noise = _unpack(best_theta, kernel, learn_noise, box_arr)
+    params, noise = _unpack(best_theta, learn_noise, box_arr)
     cfg = config if noise is None else replace(config, noise_variance=noise)
     return params, cfg

@@ -25,34 +25,13 @@ from .acquisition import AcquisitionParams, adaptive_acquisition_batch, expected
 from .adaptive import AdaptiveState, integrated_variance_mc, record_integrated_variance, \
     record_prediction_error, update_kappa, update_lambda
 from .benchmarks import FUNCTION_NAMES, TestFunction, get_test_function
-from .errors import AdaptiveBOError
 from .gp import Dataset, FittedGP, GPConfig, KernelParams, fit, optimize_hyperparameters, predict
 from .search import Domain, SearchConfig, propose_next
 
 STRATEGY_KINDS = ("adaptive", "ucb", "ei", "random")
 
-# Fixed exploration weights used for the UCB baseline sweep.
-FIXED_KAPPA_GRID = (0.1, 0.5, 1.0, 2.0)
-
 # Guard for standardizing nearly-constant observation sets.
 MIN_SCALE = 1e-12
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Proposal policy: adaptive penalized UCB or one of the baselines."""
-
-    kind: str
-    initial_kappa: float = 1.0
-    initial_lambda: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
-        if self.initial_kappa <= 0:
-            raise ValueError("initial_kappa must be positive")
-        if self.initial_lambda < 0:
-            raise ValueError("initial_lambda must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -91,12 +70,20 @@ class ExperimentConfig:
             raise ValueError("noise_std must be nonnegative")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-
-    def make_strategy(self) -> Strategy:
-        return Strategy(self.strategy, self.kappa_init, self.lambda_init)
+        if self.kappa_init < 0 or self.lambda_init < 0:
+            raise ValueError("kappa_init and lambda_init must be nonnegative")
+        if min(self.refit_every, self.mc_samples, self.grid_bins) < 1:
+            raise ValueError("refit_every, mc_samples and grid_bins must be >= 1")
+        self.search_config()  # checks n_global and n_refine
+        if self.strategy == "adaptive":
+            self.adaptive_state()  # checks the starting weights and eta
 
     def search_config(self) -> SearchConfig:
         return SearchConfig(n_global=self.n_global, n_refine=self.n_refine)
+
+    def adaptive_state(self) -> AdaptiveState:
+        return AdaptiveState(kappa=self.kappa_init, lambda_pen=self.lambda_init,
+                             beta=self.beta, gamma=self.gamma, eta=self.eta)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -256,13 +243,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, trial_index: int = 0) -> T
         return _run_random_trial(runner)
 
     adaptive = cfg.strategy == "adaptive"
-    state = AdaptiveState(
-        kappa=cfg.kappa_init,
-        lambda_pen=cfg.lambda_init if adaptive else 0.0,
-        beta=cfg.beta,
-        gamma=cfg.gamma,
-        eta=cfg.eta,
-    ) if adaptive else None
+    state = cfg.adaptive_state() if adaptive else None
     kappa0 = cfg.kappa_init if cfg.strategy in ("adaptive", "ucb") else 0.0
     lambda0 = cfg.lambda_init if adaptive else 0.0
 
@@ -353,8 +334,8 @@ def _trial_task(cfg_dict: dict, trial_index: int):
     seed = trial_seed_for(cfg, trial_index)
     try:
         return run_trial(cfg, seed, trial_index)
-    except AdaptiveBOError as exc:
-        return TrialFailure(trial=trial_index, seed=seed, error=str(exc))
+    except Exception as exc:  # one bad trial must not cost the finished ones
+        return TrialFailure(trial=trial_index, seed=seed, error=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -367,8 +348,8 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentResult:
     """Run ``n_trials`` independently seeded trials (optionally in parallel).
 
-    Trial failures are recorded and skipped; successful traces are returned
-    in trial order.
+    A trial that raises any exception is recorded as a :class:`TrialFailure`
+    and skipped; successful traces are returned in trial order.
     """
     indices = list(range(cfg.n_trials))
     if n_workers > 1:

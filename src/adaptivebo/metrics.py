@@ -42,7 +42,6 @@ class ExperimentSummary:
     regret_mean: float
     regret_median: float
     regret_std: float
-    trial_std: float  # std of best values across trials (robustness)
 
 
 def _gap_series(f_true: np.ndarray, fn: TestFunction) -> np.ndarray:
@@ -114,7 +113,6 @@ def summarize(metrics: list[TrialMetrics]) -> ExperimentSummary:
         regret_mean=float(regrets.mean()),
         regret_median=float(np.median(regrets)),
         regret_std=float(regrets.std()),
-        trial_std=float(bests.std()),
     )
 
 

@@ -167,13 +167,11 @@ def write_outputs(
             "regret_mean": summary.regret_mean,
             "regret_median": summary.regret_median,
             "regret_std": summary.regret_std,
-            "trial_std": summary.trial_std,
         },
         "final_kernels": {
             str(trace.trial): None if trace.final_kernel is None else {
                 "amplitude_sq": trace.final_kernel.amplitude_sq,
                 "length_scale": trace.final_kernel.length_scale,
-                "kernel_kind": trace.final_kernel.kernel_kind,
             }
             for trace in result.traces
         },

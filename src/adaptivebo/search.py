@@ -18,6 +18,14 @@ from .gp import FittedGP
 
 # Dimension cap for the quasi-random generator (direction-number coverage).
 SOBOL_MAX_DIM = 21
+# Leading Sobol points dropped from the global sweep (the all-zeros corner).
+SOBOL_SKIP = 1
+
+# Local refinement: L-BFGS-B iteration cap, projected-gradient tolerance and
+# the central-difference step of its gradients.
+MAX_LOCAL_ITERS = 100
+LOCAL_TOL = 1e-5
+GRAD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,23 +66,19 @@ class Domain:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Candidate counts and local-solver settings for acquisition search."""
+    """Candidate counts for acquisition search."""
 
     n_global: int = 1000
     n_refine: int = 5
-    max_local_iters: int = 100
-    local_tol: float = 1e-5
-    sobol_skip: int = 1
-    grad_step: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.n_global, self.n_refine, self.max_local_iters) < 1:
-            raise ValueError("all counts must be >= 1")
+        if min(self.n_global, self.n_refine) < 1:
+            raise ValueError("n_global and n_refine must be >= 1")
         if self.n_refine > self.n_global:
             raise ValueError("n_refine cannot exceed n_global")
 
 
-def sobol_samples(domain: Domain, n: int, skip: int = 1) -> np.ndarray:
+def sobol_samples(domain: Domain, n: int, skip: int = SOBOL_SKIP) -> np.ndarray:
     """First ``n`` points of the Sobol sequence after ``skip``, mapped into the box.
 
     Unscrambled and therefore identical across calls. ``skip=1`` drops the
@@ -94,15 +98,14 @@ def sobol_samples(domain: Domain, n: int, skip: int = 1) -> np.ndarray:
     return domain.lower + unit * (domain.upper - domain.lower)
 
 
-def _refine(acq, x0: np.ndarray, domain: Domain, cfg: SearchConfig) -> np.ndarray:
+def _refine(acq, x0: np.ndarray, domain: Domain) -> np.ndarray:
     dim = domain.dim
-    h = cfg.grad_step
     eye = np.eye(dim)
 
     def neg_with_grad(z: np.ndarray):
-        pts = np.vstack([z[None, :], z + h * eye, z - h * eye])
+        pts = np.vstack([z[None, :], z + GRAD_STEP * eye, z - GRAD_STEP * eye])
         vals = np.asarray(acq(pts), dtype=float)
-        grad = (vals[1 : 1 + dim] - vals[1 + dim :]) / (2.0 * h)
+        grad = (vals[1 : 1 + dim] - vals[1 + dim :]) / (2.0 * GRAD_STEP)
         return -vals[0], -grad
 
     result = minimize(
@@ -111,9 +114,9 @@ def _refine(acq, x0: np.ndarray, domain: Domain, cfg: SearchConfig) -> np.ndarra
         jac=True,
         method="L-BFGS-B",
         bounds=list(zip(domain.lower, domain.upper)),
-        # local_tol is the projected-gradient tolerance; the relative
+        # LOCAL_TOL is the projected-gradient tolerance; the relative
         # function-value tolerance keeps the solver's tighter default.
-        options={"maxiter": cfg.max_local_iters, "gtol": cfg.local_tol},
+        options={"maxiter": MAX_LOCAL_ITERS, "gtol": LOCAL_TOL},
     )
     return np.clip(result.x, domain.lower, domain.upper)
 
@@ -134,7 +137,7 @@ def propose_next(
         raise DimensionMismatchError(
             f"model dimension {gp.dim} != domain dimension {domain.dim}"
         )
-    candidates = sobol_samples(domain, cfg.n_global, cfg.sobol_skip)
+    candidates = sobol_samples(domain, cfg.n_global)
     values = np.asarray(acq(candidates), dtype=float)
     finite = np.isfinite(values)
     if not finite.any():
@@ -147,7 +150,7 @@ def propose_next(
     for idx in top:
         if not finite[idx]:
             continue
-        refined = _refine(acq, candidates[idx], domain, cfg)
+        refined = _refine(acq, candidates[idx], domain)
         val = float(np.asarray(acq(refined[None, :]), dtype=float)[0])
         # Keep a refined point only when it genuinely beats its start, so
         # refinement can never lose the incumbent.

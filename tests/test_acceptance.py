@@ -182,6 +182,7 @@ def test_criterion_7_integrated_variance():
     _report(7, f"prior box integral exactly 100.0; MC vs quadrature within 3% ({mc:.4f} vs {quadrature:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_8_directional_end_to_end():
     start = time.time()
     common = dict(function="rosenbrock", dim=2, noise_std=0.005, lambda_init=0.01,
@@ -216,6 +217,7 @@ def test_criterion_8_directional_end_to_end():
                "<= ucb {ucb:.3g} ({secs:.0f}s)".format(secs=elapsed, **medians))
 
 
+@pytest.mark.slow
 def test_criterion_9_empirical_sublinearity():
     cfg = ExperimentConfig(function="gauss_mix", dim=2, noise_std=0.005,
                            strategy="adaptive", lambda_init=0.01,

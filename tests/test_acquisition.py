@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptivebo.acquisition import (
+    EPS_EIG,
+    FD_STEP,
     AcquisitionParams,
     HessianEstimate,
     adaptive_acquisition,
     adaptive_acquisition_batch,
     complexity_factor,
+    complexity_factor_batch,
     expected_improvement,
     hessian_fd,
     ucb,
@@ -23,6 +28,40 @@ def ei_mc_oracle(mean, sd, f_best, n_samples, seed):
     rng = np.random.default_rng(seed)
     draws = mean + sd * rng.standard_normal(n_samples)
     return float(np.mean(np.maximum(draws - f_best, 0.0)))
+
+
+def reference_hessians(gp, points, h, lower, upper):
+    """Four-point forward-difference Hessians of the posterior mean, one per row.
+
+    Slides each base point inward so that base + 2h stays inside the box, lays
+    out each row's stencil (base, base + h e_i, base + h e_i + h e_j for i <= j)
+    after the previous row's, predicts all of them in one call, then fills
+    each matrix one entry at a time.
+    """
+    dim = points.shape[1]
+    steps = h * np.eye(dim)
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    stencil = []
+    for x in points:
+        base = np.maximum(np.minimum(x, upper - 2.0 * h), lower)
+        stencil += [base] + [base + steps[i] for i in range(dim)]
+        stencil += [base + (steps[i] + steps[j]) for i, j in pairs]
+    values = predict(gp, np.array(stencil))[0].reshape(len(points), -1)
+    hess = np.empty((len(points), dim, dim))
+    for row, v in enumerate(values):
+        f0, fi = v[0], v[1 : 1 + dim]
+        for k, (i, j) in enumerate(pairs):
+            hess[row, i, j] = hess[row, j, i] = (v[1 + dim + k] - fi[i] - fi[j] + f0) / (h * h)
+    return hess
+
+
+def random_fitted_gp(rng, dim, n):
+    """GP on n points in the unit box with standard-normal values.
+
+    The harness fits its GPs the same way: unit-box inputs, standardized values.
+    """
+    data = Dataset(rng.uniform(size=(n, dim)), rng.normal(size=n))
+    return fit(data, KernelParams(), GPConfig(noise_variance=0.01))
 
 
 class TestUCB:
@@ -153,6 +192,17 @@ class TestComplexityFactor:
             rotated = complexity_factor(HessianEstimate(q @ sym @ q.T), 1e-6)
             assert rotated == pytest.approx(direct, abs=1e-9)
 
+    def test_eigen_failure_is_numerical_error_on_both_paths(self, monkeypatch):
+        def failing_eigvalsh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        gp = random_fitted_gp(np.random.default_rng(6), 2, 6)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        with pytest.raises(NumericalError):
+            complexity_factor(HessianEstimate(np.eye(2)))
+        with pytest.raises(NumericalError):
+            complexity_factor_batch(gp, np.full((3, 2), 0.5))
+
 
 class TestUncertaintyMeasure:
     def test_zero_data_prior_is_floor_times_amplitude(self):
@@ -237,3 +287,57 @@ class TestAdaptiveAcquisition:
         b = adaptive_acquisition_batch(shifted, candidates, params)
         assert int(np.argmax(a)) == int(np.argmax(b))
         np.testing.assert_allclose(b - a, shift, atol=1e-8)
+
+
+class TestStencilAgainstReference:
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_batch_and_pointwise_match_per_point_loop(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        lower, upper = np.zeros(dim), np.ones(dim)
+        # Data sizes a trial passes through: the initial design up to the budget.
+        for n in (5, 25, 100):
+            gp = random_fitted_gp(rng, dim, n)
+            points = rng.uniform(size=(12, dim))
+            # Rows within 2h of the upper bound, where the base must shift.
+            points[::3, rng.integers(dim)] = 1.0 - rng.uniform(0.0, 2.0 * FD_STEP, size=4)
+            points[1, :] = 1.0
+            # The same stencil points in the same single predict call give the
+            # same mean values, so both paths must match the reference exactly.
+            ref = reference_hessians(gp, points, FD_STEP, lower, upper)
+            expected = np.sum(np.maximum(np.abs(np.linalg.eigvalsh(ref)), EPS_EIG), axis=-1)
+            batch = complexity_factor_batch(gp, points, lower=lower, upper=upper)
+            np.testing.assert_array_equal(batch, expected)
+            for x in points:
+                est = hessian_fd(
+                    lambda q: predict(gp, q)[0], x, FD_STEP, lower=lower, upper=upper
+                )
+                np.testing.assert_array_equal(
+                    est.matrix, reference_hessians(gp, x[None, :], FD_STEP, lower, upper)[0]
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        corner=st.lists(st.sampled_from([0.0, 1.0, None]), min_size=4, max_size=4),
+    )
+    def test_stencil_inside_box_and_factor_floored(self, dim, seed, corner):
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-2.0, 0.0, size=dim)
+        upper = lower + rng.uniform(0.01, 3.0, size=dim)
+        frac = np.array([rng.uniform() if c is None else c for c in corner[:dim]])
+        x = lower + frac * (upper - lower)
+        data = Dataset(rng.uniform(lower, upper, size=(4, dim)), rng.normal(size=4))
+        gp = fit(data, KernelParams(), GPConfig(noise_variance=0.01))
+        seen = []
+
+        def mean_fn(points):
+            seen.append(points)
+            return predict(gp, points)[0]
+
+        est = hessian_fd(mean_fn, x, FD_STEP, lower=lower, upper=upper)
+        stencil = np.vstack(seen)
+        assert np.all(stencil >= lower) and np.all(stencil <= upper)
+        assert complexity_factor(est) >= dim * EPS_EIG
+        batch = complexity_factor_batch(gp, x[None, :], lower=lower, upper=upper)
+        assert batch[0] >= dim * EPS_EIG

@@ -1,4 +1,4 @@
-"""Test-function ground truths, landscape generator properties, and noise wrapper checks."""
+"""Test-function ground truths and landscape generator properties."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,10 @@ from adaptivebo.benchmarks import (
     get_test_function,
     levy,
     make_gaussian_mixture,
-    noisy_eval,
     rosenbrock,
 )
 from adaptivebo.errors import DimensionMismatchError
+from adaptivebo.harness import ExperimentConfig, _TrialRunner
 
 
 class TestRosenbrock:
@@ -130,29 +130,35 @@ class TestGaussianMixture:
 
 
 class TestNoisyEval:
+    """Observation noise, added by the one noise path: ``_TrialRunner.evaluate``."""
+
+    @staticmethod
+    def _runner(sigma, seed):
+        cfg = ExperimentConfig(function="rosenbrock", dim=2, noise_std=sigma)
+        return _TrialRunner(cfg, trial_seed=seed, trial_index=0)
+
     def test_zero_noise_is_exact(self):
-        rng = np.random.default_rng(12)
-        x = np.array([0.5, -0.25])
-        assert noisy_eval(rosenbrock, x, 0.0, rng) == rosenbrock(x)
+        runner = self._runner(0.0, 12)
+        x_unit = np.array([0.3, 0.6])
+        f = rosenbrock(runner.to_original(x_unit))
+        assert runner.evaluate(x_unit) == (f, f, -f)
 
     def test_sample_mean_concentrates(self):
-        rng = np.random.default_rng(13)
-        x = np.zeros(2)
-        sigma = 0.3
+        runner = self._runner(0.3, 13)
+        x_unit = np.array([0.5, 0.5])
         n = 10**5
-        draws = np.array([noisy_eval(rosenbrock, x, sigma, rng) for _ in range(n)])
-        assert abs(draws.mean() - rosenbrock(x)) < 4 * sigma / np.sqrt(n)
+        draws = np.array([runner.evaluate(x_unit)[1] for _ in range(n)])
+        assert abs(draws.mean() - rosenbrock(runner.to_original(x_unit))) < 4 * 0.3 / np.sqrt(n)
 
     def test_sample_std_concentrates(self):
-        rng = np.random.default_rng(14)
-        x = np.zeros(2)
-        sigma = 0.3
-        draws = np.array([noisy_eval(rosenbrock, x, sigma, rng) for _ in range(10**5)])
-        assert draws.std() == pytest.approx(sigma, rel=0.02)
+        runner = self._runner(0.3, 14)
+        x_unit = np.array([0.5, 0.5])
+        draws = np.array([runner.evaluate(x_unit)[1] for _ in range(10**5)])
+        assert draws.std() == pytest.approx(0.3, rel=0.02)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            noisy_eval(rosenbrock, np.zeros(2), -0.1, np.random.default_rng(0))
+            self._runner(-0.1, 0)
 
 
 class TestTestFunctionDescriptors:

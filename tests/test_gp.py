@@ -10,14 +10,10 @@ from adaptivebo.errors import (
     NumericalError,
 )
 from adaptivebo.gp import (
-    MATERN25,
-    RATIONAL_QUADRATIC,
-    SQUARED_EXPONENTIAL,
     Dataset,
     FittedGP,
     GPConfig,
     KernelParams,
-    composite_kernel,
     fit,
     kernel_eval,
     kernel_matrix,
@@ -85,28 +81,12 @@ class TestKernels:
         value = kernel_eval(np.array([0.0]), np.array([1.0]), p)
         assert value == pytest.approx(MATERN25_AT_UNIT_DISTANCE, abs=1e-12)
 
-    def test_squared_exponential_formula(self):
-        p = KernelParams(amplitude_sq=1.5, length_scale=2.0, kernel_kind=SQUARED_EXPONENTIAL)
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        r2 = 5.0
-        assert kernel_eval(a, b, p) == pytest.approx(1.5 * np.exp(-r2 / 8.0), rel=1e-14)
-
-    def test_rational_quadratic_formula(self):
-        p = KernelParams(
-            amplitude_sq=2.0, length_scale=1.5, kernel_kind=RATIONAL_QUADRATIC, rq_alpha=0.7
-        )
-        a, b = np.array([0.5]), np.array([-1.0])
-        r2 = 1.5**2
-        expected = 2.0 * (1.0 + r2 / (2 * 0.7 * 1.5**2)) ** (-0.7)
-        assert kernel_eval(a, b, p) == pytest.approx(expected, rel=1e-14)
-
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(3)
-        for kind in (MATERN25, SQUARED_EXPONENTIAL, RATIONAL_QUADRATIC):
-            p = KernelParams(amplitude_sq=1.3, length_scale=0.7, kernel_kind=kind)
-            for _ in range(50):
-                a, b = rng.normal(size=3), rng.normal(size=3)
-                assert kernel_eval(a, b, p) == kernel_eval(b, a, p)
+        p = KernelParams(amplitude_sq=1.3, length_scale=0.7)
+        for _ in range(50):
+            a, b = rng.normal(size=3), rng.normal(size=3)
+            assert kernel_eval(a, b, p) == kernel_eval(b, a, p)
 
     def test_kernel_matrix_positive_definite_with_noise(self):
         rng = np.random.default_rng(11)
@@ -123,32 +103,6 @@ class TestKernels:
             KernelParams(amplitude_sq=-1.0)
         with pytest.raises(ValueError):
             KernelParams(length_scale=0.0)
-        with pytest.raises(ValueError):
-            KernelParams(kernel_kind="cubic")
-
-
-class TestCompositeKernel:
-    def test_equals_amplitude_at_zero_distance(self):
-        p = KernelParams(amplitude_sq=3.0)
-        x = np.array([1.0, 2.0])
-        assert composite_kernel(x, x, p) == 3.0
-
-    def test_matches_kernel_eval_everywhere(self):
-        rng = np.random.default_rng(9)
-        p = KernelParams(amplitude_sq=2.2, length_scale=0.8)
-        for _ in range(100):
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            assert composite_kernel(a, b, p) == kernel_eval(a, b, p)
-
-    def test_scaled_frozen_value(self):
-        p = KernelParams(amplitude_sq=4.0, length_scale=1.0)
-        value = composite_kernel(np.array([0.0]), np.array([1.0]), p)
-        assert value == pytest.approx(4.0 * MATERN25_AT_UNIT_DISTANCE, rel=1e-12)
-
-    def test_requires_matern(self):
-        p = KernelParams(kernel_kind=SQUARED_EXPONENTIAL)
-        with pytest.raises(ValueError):
-            composite_kernel(np.zeros(1), np.ones(1), p)
 
 
 class TestFit:
@@ -201,10 +155,9 @@ class TestPredict:
         assert mean == pytest.approx(y0, abs=1e-8)
         assert var == pytest.approx(0.0, abs=1e-8)
 
-    @pytest.mark.parametrize("kind", [MATERN25, SQUARED_EXPONENTIAL, RATIONAL_QUADRATIC])
-    def test_matches_dense_inverse_oracle(self, kind):
+    def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(17)
-        params = KernelParams(amplitude_sq=1.4, length_scale=0.6, kernel_kind=kind)
+        params = KernelParams(amplitude_sq=1.4, length_scale=0.6)
         data = Dataset(rng.uniform(size=(10, 3)), rng.normal(size=10))
         gp = fit(data, params, GPConfig(noise_variance=0.05))
         for _ in range(20):

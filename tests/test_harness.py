@@ -11,10 +11,10 @@ from scipy.stats import qmc
 import adaptivebo.harness as harness
 from adaptivebo.benchmarks import get_test_function
 from adaptivebo.errors import NonPositiveDefiniteError
+from adaptivebo.gp import Dataset
 from adaptivebo.harness import (
     ExperimentConfig,
     IterationRecord,
-    Strategy,
     TrialTrace,
     run_experiment,
     run_trial,
@@ -162,20 +162,47 @@ class TestRunExperiment:
         def flaky(cfg, trial_seed, trial_index=0):
             if trial_index == 1:
                 raise NonPositiveDefiniteError("synthetic failure")
+            if trial_index == 2:
+                # What an objective returning NaN runs into: a plain ValueError.
+                Dataset(np.zeros((1, cfg.dim)), np.array([np.nan]))
             return real_run_trial(cfg, trial_seed, trial_index)
 
         monkeypatch.setattr(harness, "run_trial", flaky)
-        result = run_experiment(small_config(n_trials=3))
-        assert len(result.traces) == 2
-        assert len(result.failures) == 1
-        assert result.failures[0].trial == 1
+        result = run_experiment(small_config(n_trials=4))
+        assert [t.trial for t in result.traces] == [0, 3]
+        assert [(f.trial, f.error) for f in result.failures] == [
+            (1, "NonPositiveDefiniteError: synthetic failure"),
+            (2, "ValueError: dataset entries must be finite"),
+        ]
 
     def test_parallel_matches_serial(self):
-        cfg = small_config(n_trials=2, strategy="random", budget=16)
-        serial = run_experiment(cfg, n_workers=1)
-        parallel = run_experiment(cfg, n_workers=2)
-        for a, b in zip(serial.traces, parallel.traces):
-            np.testing.assert_array_equal(trace_points(a), trace_points(b))
+        for strategy in ("random", "adaptive"):
+            cfg = small_config(n_trials=2, strategy=strategy, budget=16)
+            serial = run_experiment(cfg, n_workers=1)
+            parallel = run_experiment(cfg, n_workers=2)
+            assert len(serial.traces) == len(parallel.traces) == 2
+            for a, b in zip(serial.traces, parallel.traces):
+                assert (a.trial, a.seed, a.final_kernel) == (b.trial, b.seed, b.final_kernel)
+                np.testing.assert_array_equal(trace_points(a), trace_points(b))
+                for ra, rb in zip(a.records, b.records):
+                    assert (ra.y, ra.kappa, ra.lambda_pen, ra.delta, ra.i_mc, ra.best_true) == \
+                           (rb.y, rb.kappa, rb.lambda_pen, rb.delta, rb.i_mc, rb.best_true)
+
+    def test_worker_failures_are_recorded_and_skipped(self, monkeypatch):
+        # Pool workers are forked from this process, so they inherit the patch.
+        real_run_trial = harness.run_trial
+
+        def flaky(cfg, trial_seed, trial_index=0):
+            if trial_index == 0:
+                raise ValueError("synthetic failure")
+            return real_run_trial(cfg, trial_seed, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        result = run_experiment(small_config(n_trials=3, strategy="random"), n_workers=2)
+        assert [t.trial for t in result.traces] == [1, 2]
+        assert [(f.trial, f.error) for f in result.failures] == [
+            (0, "ValueError: synthetic failure"),
+        ]
 
 
 def _hand_trace(points, f_values, trial=0, seed=0):
@@ -315,6 +342,21 @@ class TestOutputs:
             assert float(cells[9]) == recomputed.simple_regret
             assert float(cells[13]) == recomputed.exploration_efficiency
 
+    def test_aggregate_record_matches_summary_and_kernels(self, tmp_path):
+        _, result, metrics = self._run_and_write(tmp_path)
+        aggregate = json.loads((tmp_path / "aggregate.json").read_text())
+        summary = summarize(metrics)
+        assert aggregate["summary"] == {
+            "best_mean": summary.best_mean, "best_median": summary.best_median,
+            "best_std": summary.best_std, "regret_mean": summary.regret_mean,
+            "regret_median": summary.regret_median, "regret_std": summary.regret_std,
+        }
+        assert aggregate["final_kernels"] == {
+            str(t.trial): {"amplitude_sq": t.final_kernel.amplitude_sq,
+                           "length_scale": t.final_kernel.length_scale}
+            for t in result.traces
+        }
+
     def test_timing_zeroed_unless_requested(self, tmp_path):
         cfg = small_config(n_trials=1, strategy="random", budget=8)
         result = run_experiment(cfg)
@@ -333,11 +375,30 @@ class TestOutputs:
 
 class TestStrategyAndConfig:
     def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            Strategy("annealing")
-        with pytest.raises(ValueError):
-            Strategy("ucb", initial_kappa=0.0)
-        assert harness.FIXED_KAPPA_GRID == (0.1, 0.5, 1.0, 2.0)
+        base = {"function": "ackley", "dim": 2}
+        for good in (
+            {"strategy": "ucb", "kappa_init": 0.0, "lambda_init": 0.0},
+            {"refit_every": 1, "n_global": 3, "n_refine": 3, "mc_samples": 1, "grid_bins": 1},
+        ):
+            ExperimentConfig.from_dict({**base, **good})
+        for bad in (
+            {"strategy": "annealing"},
+            {"strategy": "ucb", "kappa_init": -0.5},
+            {"strategy": "ucb", "lambda_init": -0.01},
+            # The adaptive strategy also needs starting weights its state accepts.
+            {"kappa_init": 0.0},
+            {"kappa_init": 10.5},
+            {"lambda_init": 10.5},
+            {"eta": 1.0},
+            {"refit_every": 0},
+            {"n_global": 0},
+            {"n_refine": 0},
+            {"n_global": 4, "n_refine": 5},
+            {"mc_samples": 0},
+            {"grid_bins": 0},
+        ):
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_dict({**base, **bad})
 
     def test_config_roundtrip(self):
         cfg = small_config()

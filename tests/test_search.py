@@ -134,7 +134,7 @@ class TestProposeNext:
 
         cfg = SearchConfig(n_global=128, n_refine=3)
         best = propose_next(_prior_gp(3), acq, domain, cfg)
-        raw = acq(sobol_samples(domain, cfg.n_global, cfg.sobol_skip))
+        raw = acq(sobol_samples(domain, cfg.n_global))
         assert float(acq(best[None, :])[0]) >= raw.max()
 
     def test_constant_acquisition_tie_breaks_to_first_candidate(self):
@@ -145,7 +145,7 @@ class TestProposeNext:
 
         cfg = SearchConfig(n_global=64)
         best = propose_next(_prior_gp(2), acq, domain, cfg)
-        first = sobol_samples(domain, cfg.n_global, cfg.sobol_skip)[0]
+        first = sobol_samples(domain, cfg.n_global)[0]
         np.testing.assert_array_equal(best, first)
 
     def test_boundary_maximizer_stays_in_box(self):
