@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -153,12 +154,27 @@ def _estimate_mixture_optimum(spec: GaussianMixtureSpec, domain: Domain):
     return best_x, -best_v
 
 
+@lru_cache(maxsize=8)
+def _mixture(mixture_seed: int, dim: int) -> tuple[GaussianMixtureSpec, np.ndarray, float]:
+    """The mixture landscape and its estimated optimum, built once per process.
+
+    Callers must not modify the returned arrays; ``get_test_function`` copies
+    the optimum point before handing it out.
+    """
+    lo, hi = MIXTURE_BOX
+    domain = Domain(np.full(dim, lo), np.full(dim, hi))
+    spec = make_gaussian_mixture(mixture_seed, dim)
+    x_star, f_star = _estimate_mixture_optimum(spec, domain)
+    return spec, x_star, f_star
+
+
 def get_test_function(name: str, dim: int, mixture_seed: int = 0) -> TestFunction:
     """Construct a named benchmark at the given dimension.
 
     The Gaussian mixture landscape is seeded (default seed 0) so it is a fixed
     maximization benchmark; its optimum is estimated by multistart search and
-    flagged as such.
+    flagged as such. That search is memoized per process, so only the first
+    call for a (seed, dim) pair pays for it.
     """
     if name == "rosenbrock":
         if dim < 2:
@@ -183,14 +199,13 @@ def get_test_function(name: str, dim: int, mixture_seed: int = 0) -> TestFunctio
     if name == "gauss_mix":
         lo, hi = MIXTURE_BOX
         domain = Domain(np.full(dim, lo), np.full(dim, hi))
-        spec = make_gaussian_mixture(mixture_seed, dim)
-        x_star, f_star = _estimate_mixture_optimum(spec, domain)
+        spec, x_star, f_star = _mixture(mixture_seed, dim)
 
         def evaluator(x, _spec=spec):
             return gaussian_mixture_eval(_spec, x)
 
         return TestFunction(
-            "gauss_mix", dim, domain, x_star, f_star, evaluator,
+            "gauss_mix", dim, domain, x_star.copy(), f_star, evaluator,
             maximize=True, optimum_estimated=True,
         )
     raise ValueError(f"unknown test function {name!r}; choose from {FUNCTION_NAMES}")

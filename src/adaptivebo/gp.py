@@ -1,15 +1,15 @@
 """Exact Gaussian-process regression.
 
 Kernel evaluation, Cholesky-based posterior inference, marginal likelihood,
-and restart-based hyperparameter optimization. Models are immutable after
-fitting, so concurrent read-only prediction is safe.
+and restart-based hyperparameter optimization with the exact likelihood
+gradient. Models are immutable after fitting, so concurrent read-only
+prediction is safe.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
@@ -18,14 +18,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, NonPositiveDefiniteError, NumericalError
 
-# Default hyperparameter search boxes, assuming inputs scaled to the unit box.
-DEFAULT_HYPER_BOUNDS: Mapping[str, tuple[float, float]] = {
-    "amplitude_sq": (1e-3, 1e3),
-    "length_scale": (1e-2, 1e2),
-}
-
-# Lower bound when observation-noise variance is learned rather than known.
-MIN_LEARNED_NOISE = 1e-8
+# Hyperparameter search box (rows: amplitude_sq, length_scale), assuming
+# inputs scaled to the unit box.
+HYPER_BOUNDS = np.array([[1e-3, 1e3], [1e-2, 1e2]])
 
 # Negative predicted variances above this threshold are round-off and are
 # clamped to zero; anything below it signals a broken factorization.
@@ -161,15 +156,23 @@ def fit(dataset: Dataset, kernel: KernelParams, config: GPConfig) -> FittedGP:
     if dataset.n == 0:
         return FittedGP(dataset, kernel, config, None, np.empty(0), 0.0)
 
-    base = kernel_matrix(dataset.points, dataset.points, kernel)
-    base[np.diag_indices_from(base)] += config.noise_variance
+    return _factorize(dataset, kernel, config,
+                      kernel_matrix(dataset.points, dataset.points, kernel))
+
+
+def _factorize(
+    dataset: Dataset, kernel: KernelParams, config: GPConfig, k0: np.ndarray
+) -> FittedGP:
+    """``fit`` given the noise-free kernel matrix ``k0``, which is not modified."""
+    eye = np.eye(dataset.n)
+    cov = k0 + config.noise_variance * eye
     resid = dataset.values - config.mean
 
     # The exact matrix is tried first; jitter is the repair on failure.
     jitter = 0.0
     while jitter <= config.jitter_max * (1.0 + 1e-12):
         try:
-            chol = cholesky(base + jitter * np.eye(dataset.n), lower=True)
+            chol = cholesky(cov + jitter * eye, lower=True)
         except LinAlgError:
             jitter = config.jitter_initial if jitter == 0.0 else jitter * 10.0
             continue
@@ -194,6 +197,9 @@ def predict(gp: FittedGP, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(
             f"query dimension {q.shape[1]} != model dimension {gp.dim}"
         )
+    # The cached factor is finite by construction, so only the query is checked.
+    if not np.isfinite(q).all():
+        raise ValueError("array must not contain infs or NaNs")
 
     prior_var = gp.kernel.amplitude_sq
     if gp.dataset.n == 0:
@@ -202,7 +208,7 @@ def predict(gp: FittedGP, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         k_trans = kernel_matrix(q, gp.dataset.points, gp.kernel)
         mean = gp.config.mean + k_trans @ gp.alpha
-        v = solve_triangular(gp.chol_factor, k_trans.T, lower=True)
+        v = solve_triangular(gp.chol_factor, k_trans.T, lower=True, check_finite=False)
         var = prior_var - np.einsum("ij,ij->j", v, v)
         if np.any(var < VARIANCE_FLOOR):
             raise NumericalError(
@@ -226,38 +232,63 @@ def log_marginal_likelihood(gp: FittedGP) -> float:
     return -0.5 * quad - logdet - 0.5 * n * np.log(2.0 * np.pi)
 
 
-def _pack(params: KernelParams, noise: float | None) -> np.ndarray:
-    theta = [np.log(params.amplitude_sq), np.log(params.length_scale)]
-    if noise is not None:
-        theta.append(np.log(noise))
-    return np.array(theta)
+def _pack(params: KernelParams) -> np.ndarray:
+    return np.array([np.log(params.amplitude_sq), np.log(params.length_scale)])
 
 
-def _unpack(
-    theta: np.ndarray, learn_noise: bool, box: np.ndarray
-) -> tuple[KernelParams, float | None]:
+def _unpack(theta: np.ndarray) -> KernelParams:
     # Clip after exponentiating: the log/exp round trip can land a hair
     # outside the stated bounds.
-    vals = np.clip(np.exp(theta), box[:, 0], box[:, 1])
-    noise = float(vals[2]) if learn_noise else None
-    return KernelParams(float(vals[0]), float(vals[1])), noise
+    vals = np.clip(np.exp(theta), HYPER_BOUNDS[:, 0], HYPER_BOUNDS[:, 1])
+    return KernelParams(float(vals[0]), float(vals[1]))
+
+
+def _neg_lml_and_grad(
+    theta: np.ndarray, dataset: Dataset, config: GPConfig, sqrt5_r: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood and its gradient in (log sigma_f^2, log l).
+
+    ``sqrt5_r`` is sqrt(5) times the pairwise distances of the training
+    points. The value equals ``-log_marginal_likelihood(fit(...))`` bit for
+    bit: K is built in ``kernel_matrix``'s expression order and factorized by
+    ``fit``'s jitter loop. With u = sqrt(5) r / l, dK/dlog sigma_f^2 = K and
+    dK/dlog l = sigma_f^2 e^-u u^2 (1 + u) / 3, and the likelihood gradient
+    is 1/2 sum(W * dK) with W = alpha alpha^T - (K + sigma_n^2 I)^-1
+    (Rasmussen & Williams, 2006, eq. 5.9). A matrix that is not positive
+    definite even at ``jitter_max`` scores 1e25 with a zero gradient.
+    """
+    params = _unpack(theta)
+    u = sqrt5_r / params.length_scale
+    decay = np.exp(-u)
+    k0 = params.amplitude_sq * (1.0 + u + u * u / 3.0) * decay
+    try:
+        model = _factorize(dataset, params, config, k0)
+    except NonPositiveDefiniteError:
+        return 1e25, np.zeros(2)
+    value = log_marginal_likelihood(model)
+    if not np.isfinite(value):
+        return 1e25, np.zeros(2)
+    w = np.outer(model.alpha, model.alpha) - cho_solve(
+        (model.chol_factor, True), np.eye(dataset.n)
+    )
+    d_length = params.amplitude_sq * decay * u * u * (1.0 + u) / 3.0
+    grad = np.array([np.vdot(w, k0), np.vdot(w, d_length)])
+    return -value, -0.5 * grad
 
 
 def optimize_hyperparameters(
     dataset: Dataset,
     kernel: KernelParams,
     config: GPConfig,
-    bounds: Mapping[str, tuple[float, float]] | None = None,
-    noise_bounds: tuple[float, float] | None = None,
     n_restarts: int = 5,
     seed: int = 0,
-) -> tuple[KernelParams, GPConfig]:
-    """Maximize the marginal likelihood over log-transformed hyperparameters.
+) -> KernelParams:
+    """Maximize the marginal likelihood over log-transformed kernel parameters.
 
-    Runs bounded L-BFGS-B from the current parameters plus ``n_restarts - 1``
-    log-uniform draws inside the bounds and keeps the best result. The noise
-    variance is treated as known unless ``noise_bounds`` is given, in which
-    case it is learned (floored at 1e-8) and returned in the config.
+    Runs bounded L-BFGS-B on the exact likelihood gradient from the current
+    parameters plus ``n_restarts - 1`` log-uniform draws inside
+    ``HYPER_BOUNDS`` and keeps the best result. The noise variance in
+    ``config`` is known and stays fixed.
 
     Returns the best parameters found; if no restart improves on its start,
     the best starting point is returned with a RuntimeWarning.
@@ -267,27 +298,11 @@ def optimize_hyperparameters(
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
 
-    merged = {**DEFAULT_HYPER_BOUNDS, **(bounds or {})}
-    box = [merged["amplitude_sq"], merged["length_scale"]]
-    learn_noise = noise_bounds is not None
-    if learn_noise:
-        lo, hi = noise_bounds
-        box.append((max(lo, MIN_LEARNED_NOISE), hi))
-    box_arr = np.asarray(box, dtype=float)
-    log_box = np.log(box_arr)
+    log_box = np.log(HYPER_BOUNDS)
+    sqrt5_r = np.sqrt(5.0 * _sq_dists(dataset.points, dataset.points))
+    args = (dataset, config, sqrt5_r)
 
-    def objective(theta: np.ndarray) -> float:
-        params, noise = _unpack(theta, learn_noise, box_arr)
-        cfg = config if noise is None else replace(config, noise_variance=noise)
-        try:
-            model = fit(dataset, params, cfg)
-        except NonPositiveDefiniteError:
-            return 1e25
-        value = log_marginal_likelihood(model)
-        return -value if np.isfinite(value) else 1e25
-
-    start_noise = config.noise_variance if learn_noise else None
-    theta0 = np.clip(_pack(kernel, start_noise), log_box[:, 0], log_box[:, 1])
+    theta0 = np.clip(_pack(kernel), log_box[:, 0], log_box[:, 1])
     rng = np.random.default_rng(seed)
     starts = [theta0] + [
         rng.uniform(log_box[:, 0], log_box[:, 1]) for _ in range(n_restarts - 1)
@@ -295,17 +310,19 @@ def optimize_hyperparameters(
 
     # Starting points themselves are candidates, so the returned likelihood
     # can never fall below any restart's start.
-    best_theta, best_val = theta0, objective(theta0)
+    best_theta, best_val = theta0, np.inf
     solver_ok = False
     for theta_start in starts:
-        start_val = objective(theta_start)
+        start_val, _ = _neg_lml_and_grad(theta_start, *args)
         if start_val < best_val:
             best_theta, best_val = theta_start, start_val
         result = minimize(
-            objective,
+            _neg_lml_and_grad,
             theta_start,
+            args=args,
+            jac=True,
             method="L-BFGS-B",
-            bounds=[(lo, hi) for lo, hi in log_box],
+            bounds=log_box,
         )
         if np.isfinite(result.fun) and result.fun <= start_val:
             solver_ok = True
@@ -319,6 +336,4 @@ def optimize_hyperparameters(
             RuntimeWarning,
             stacklevel=2,
         )
-    params, noise = _unpack(best_theta, learn_noise, box_arr)
-    cfg = config if noise is None else replace(config, noise_variance=noise)
-    return params, cfg
+    return _unpack(best_theta)

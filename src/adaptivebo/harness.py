@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -203,7 +204,7 @@ class _TrialRunner:
         data = Dataset(np.asarray(self.points_unit), y_std)
         n = data.n
         if n >= 2 and n % self.cfg.refit_every == 0:
-            self.kernel, gp_config = optimize_hyperparameters(
+            self.kernel = optimize_hyperparameters(
                 data, self.kernel, gp_config, seed=_derived_seed(self.seed, 3, n)
             )
         self.model = fit(data, self.kernel, gp_config)
@@ -338,6 +339,16 @@ def _trial_task(cfg_dict: dict, trial_index: int):
         return TrialFailure(trial=trial_index, seed=seed, error=f"{type(exc).__name__}: {exc}")
 
 
+def _pool_outcome(cfg: ExperimentConfig, trial_index: int, future: Future):
+    # A worker that dies (killed, out of memory, os._exit) breaks the pool and
+    # every trial not yet finished; the finished ones keep their results.
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return TrialFailure(trial=trial_index, seed=trial_seed_for(cfg, trial_index),
+                            error=f"BrokenProcessPool: {exc}")
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -348,13 +359,15 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentResult:
     """Run ``n_trials`` independently seeded trials (optionally in parallel).
 
-    A trial that raises any exception is recorded as a :class:`TrialFailure`
-    and skipped; successful traces are returned in trial order.
+    A trial that raises any exception, or that a dead pool worker takes down,
+    is recorded as a :class:`TrialFailure` and skipped; successful traces are
+    returned in trial order.
     """
     indices = list(range(cfg.n_trials))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_trial_task, [cfg.to_dict()] * len(indices), indices))
+            futures = [pool.submit(_trial_task, cfg.to_dict(), i) for i in indices]
+            outcomes = [_pool_outcome(cfg, i, future) for i, future in zip(indices, futures)]
     else:
         outcomes = [_trial_task(cfg.to_dict(), i) for i in indices]
 

@@ -24,11 +24,6 @@ import numpy as np
 from .harness import ExperimentResult, IterationRecord, TrialTrace
 from .metrics import ExperimentSummary, TrialMetrics
 
-TRACE_KEYS = (
-    "t", "x", "y", "f_true", "kappa", "lambda", "delta", "delta_bar",
-    "i_mc", "i_bar", "best_true", "iter_seconds",
-)
-
 SUMMARY_COLUMNS = (
     "function", "dim", "noise_std", "strategy", "kappa_init", "lambda_init",
     "trial", "seed", "best_value", "simple_regret",

@@ -183,6 +183,17 @@ class TestTestFunctionDescriptors:
         values = np.array([fn.evaluator(np.array([a, b])) for a in side for b in side])
         assert values.max() <= fn.optimum_value + 1e-9
 
+    def test_mixture_build_is_shared_but_each_descriptor_is_fresh(self):
+        first = get_test_function("gauss_mix", 2)
+        expected = first.optimum_point.copy()
+        first.optimum_point[:] = 99.0
+        second = get_test_function("gauss_mix", 2)
+        assert second is not first
+        np.testing.assert_array_equal(second.optimum_point, expected)
+        assert second.optimum_value == first.optimum_value
+        x = np.array([0.3, -1.7])
+        assert second.evaluator(x) == gaussian_mixture_eval(make_gaussian_mixture(0, 2), x)
+
     def test_boxes(self):
         assert get_test_function("rosenbrock", 3).bounds.lower[0] == -2.048
         assert get_test_function("ackley", 3).bounds.upper[0] == 5.0

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import gamma, kv
 
 from adaptivebo.errors import (
@@ -10,6 +13,7 @@ from adaptivebo.errors import (
     NumericalError,
 )
 from adaptivebo.gp import (
+    HYPER_BOUNDS,
     Dataset,
     FittedGP,
     GPConfig,
@@ -21,6 +25,7 @@ from adaptivebo.gp import (
     optimize_hyperparameters,
     predict,
 )
+from adaptivebo.gp import _neg_lml_and_grad, _pack, _sq_dists, _unpack
 
 # Oracle value for the unit-amplitude Matern-2.5 kernel at r/l = 1, computed
 # from the general Bessel form below (the closed form agrees to 2e-16).
@@ -202,6 +207,13 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             predict(gp, np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_raises(self, bad):
+        data = Dataset(np.array([[0.2, 0.4], [0.7, 0.1]]), np.array([1.0, -1.0]))
+        gp = fit(data, KernelParams(), GPConfig(noise_variance=0.01))
+        with pytest.raises(ValueError):
+            predict(gp, np.array([[0.5, 0.5], [bad, 0.5]]))
+
     def test_corrupt_factor_flags_negative_variance(self):
         data = Dataset(np.array([[0.5]]), np.array([1.0]))
         good = fit(data, KernelParams(), GPConfig(noise_variance=0.0))
@@ -250,7 +262,7 @@ class TestOptimizeHyperparameters:
     def test_returned_params_within_bounds(self):
         rng = np.random.default_rng(47)
         data = self._sample_from_gp(rng, 25, 0.5, 0.05)
-        params, _ = optimize_hyperparameters(
+        params = optimize_hyperparameters(
             data, KernelParams(), GPConfig(noise_variance=0.0025), seed=0
         )
         assert 1e-3 <= params.amplitude_sq <= 1e3
@@ -261,7 +273,7 @@ class TestOptimizeHyperparameters:
         data = self._sample_from_gp(rng, 20, 0.3, 0.1)
         cfg = GPConfig(noise_variance=0.01)
         start = KernelParams(amplitude_sq=0.1, length_scale=5.0)
-        params, _ = optimize_hyperparameters(data, start, cfg, seed=1)
+        params = optimize_hyperparameters(data, start, cfg, seed=1)
         lml_start = log_marginal_likelihood(fit(data, start, cfg))
         lml_opt = log_marginal_likelihood(fit(data, params, cfg))
         assert lml_opt >= lml_start
@@ -271,26 +283,95 @@ class TestOptimizeHyperparameters:
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             data = self._sample_from_gp(rng, 40, 0.5, 0.05)
-            params, _ = optimize_hyperparameters(
+            params = optimize_hyperparameters(
                 data, KernelParams(), GPConfig(noise_variance=0.0025), seed=seed
             )
             recovered.append(params.length_scale)
         assert 0.25 <= np.median(recovered) <= 1.0
 
-    def test_learned_noise_respects_floor(self):
-        rng = np.random.default_rng(59)
-        data = self._sample_from_gp(rng, 20, 0.5, 0.0)
-        params, cfg = optimize_hyperparameters(
-            data, KernelParams(), GPConfig(noise_variance=0.1),
-            noise_bounds=(1e-8, 1.0), seed=2,
-        )
-        assert 1e-8 <= cfg.noise_variance <= 1.0
-        assert params.length_scale > 0
+    def test_not_worse_than_finite_difference_search(self):
+        # Reference: the same restarts run by L-BFGS-B on a finite-difference
+        # gradient of -log_marginal_likelihood(fit(...)).
+        log_box = np.log(HYPER_BOUNDS)
+
+        def neg_lml(theta, data, cfg):
+            try:
+                return -log_marginal_likelihood(fit(data, _unpack(theta), cfg))
+            except NonPositiveDefiniteError:
+                return 1e25
+
+        for case in range(8):
+            rng = np.random.default_rng(500 + case)
+            dim, n = (2, 10)[case % 2], int(rng.integers(10, 41))
+            pts = rng.uniform(size=(n, dim))
+            data = Dataset(pts, np.sin(4.0 * pts).sum(axis=1) + 0.01 * rng.normal(size=n))
+            cfg = GPConfig(noise_variance=(1e-6, 1e-4, 1e-2)[case % 3])
+            start = KernelParams()
+            draws = np.random.default_rng(case)
+            starts = [_pack(start)] + [
+                draws.uniform(log_box[:, 0], log_box[:, 1]) for _ in range(4)
+            ]
+            best_fd = -min(
+                min(neg_lml(t, data, cfg),
+                    minimize(neg_lml, t, args=(data, cfg), method="L-BFGS-B",
+                             bounds=log_box).fun)
+                for t in starts
+            )
+            params = optimize_hyperparameters(data, start, cfg, seed=case)
+            assert log_marginal_likelihood(fit(data, params, cfg)) >= best_fd - 1e-6
 
     def test_too_few_points_rejected(self):
         data = Dataset(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
             optimize_hyperparameters(data, KernelParams(), GPConfig())
+
+
+class TestLikelihoodObjective:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        log_noise=st.floats(np.log(1e-4), np.log(1e-1)),
+        frac=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_value_is_exact_and_gradient_matches_central_differences(
+        self, n, dim, seed, log_noise, frac
+    ):
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(size=(n, dim)), rng.normal(size=n))
+        cfg = GPConfig(noise_variance=float(np.exp(log_noise)))
+        log_box = np.log(HYPER_BOUNDS)
+        theta = log_box[:, 0] + np.array(frac) * (log_box[:, 1] - log_box[:, 0])
+        sqrt5_r = np.sqrt(5.0 * _sq_dists(data.points, data.points))
+
+        def neg_lml(t):
+            return -log_marginal_likelihood(fit(data, _unpack(t), cfg))
+
+        value, grad = _neg_lml_and_grad(theta, data, cfg, sqrt5_r)
+        assert value == neg_lml(theta)
+
+        # The differences stay inside the box, where _unpack does not clip.
+        theta = np.clip(theta, log_box[:, 0] + 1e-4, log_box[:, 1] - 1e-4)
+        value, grad = _neg_lml_and_grad(theta, data, cfg, sqrt5_r)
+        h = 1e-5
+        central = np.array(
+            [(neg_lml(theta + h * e) - neg_lml(theta - h * e)) / (2.0 * h) for e in np.eye(2)]
+        )
+        # Rounding in each value is about cond(K) * eps * (|value| + n), and
+        # the differences divide it by h.
+        cond = np.linalg.cond(fit(data, _unpack(theta), cfg).chol_factor) ** 2
+        rounding = cond * np.finfo(float).eps * (abs(value) + n) / h
+        np.testing.assert_array_less(
+            np.abs(grad - central), 1e-5 * (1.0 + np.abs(grad)) + rounding
+        )
+
+    def test_not_positive_definite_scores_1e25_with_zero_gradient(self):
+        data = Dataset(np.zeros((2, 1)), np.array([1.0, -1.0]))
+        cfg = GPConfig(noise_variance=0.0, jitter_initial=1e-30, jitter_max=1e-30)
+        value, grad = _neg_lml_and_grad(np.zeros(2), data, cfg, np.zeros((2, 2)))
+        assert value == 1e25
+        np.testing.assert_array_equal(grad, np.zeros(2))
 
 
 class TestDataset:

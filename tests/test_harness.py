@@ -1,6 +1,9 @@
 """Optimization-loop, metrics, and file-output tests."""
 
 import json
+import multiprocessing
+import os
+import time
 import warnings
 from pathlib import Path
 
@@ -203,6 +206,35 @@ class TestRunExperiment:
         assert [(f.trial, f.error) for f in result.failures] == [
             (0, "ValueError: synthetic failure"),
         ]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run_trial reaches the workers only by fork")
+    def test_dead_worker_loses_only_unfinished_trials(self, monkeypatch):
+        real_run_trial = harness.run_trial
+
+        def dying(cfg, trial_seed, trial_index=0):
+            if trial_index == 2:
+                # Trials 0 and 1 hold both workers, so one of them has
+                # finished before this one starts; give the other time too.
+                time.sleep(1.0)
+                os._exit(1)
+            return real_run_trial(cfg, trial_seed, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", dying)
+        cfg = small_config(n_trials=4, strategy="random")
+        result = run_experiment(cfg, n_workers=2)
+        kept = [t.trial for t in result.traces]
+        lost = [f.trial for f in result.failures]
+        assert sorted(kept + lost) == [0, 1, 2, 3]
+        assert 2 in lost and kept
+        for failure in result.failures:
+            assert failure.seed == trial_seed_for(cfg, failure.trial)
+            assert failure.error.startswith("BrokenProcessPool: ")
+        for trace in result.traces:
+            np.testing.assert_array_equal(
+                trace_points(trace),
+                trace_points(real_run_trial(cfg, trace.seed, trace.trial)),
+            )
 
 
 def _hand_trace(points, f_values, trial=0, seed=0):
