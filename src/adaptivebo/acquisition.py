@@ -3,8 +3,9 @@
 Fixed-weight UCB, Expected Improvement, and the penalized acquisition
 mu + kappa*sigma - lambda*U, where U(x) = sigma^2(x) * C(x) weights the
 posterior variance by a curvature complexity factor C(x): the sum of
-floored absolute eigenvalues of the finite-difference Hessian of the
-posterior mean.
+floored absolute eigenvalues of the exact Hessian of the posterior mean
+(``gp.mean_hessians``). ``hessian_fd`` estimates the Hessian of any batch
+function by finite differences.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import NumericalError
-from .gp import FittedGP, predict
+from .gp import FittedGP, mean_hessians, predict
 
 
-# Floor on each absolute Hessian eigenvalue in C(x), and the forward-difference
-# step of the Hessian stencil.
+# Floor on each absolute Hessian eigenvalue in C(x).
 EPS_EIG = 1e-6
-FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class AcquisitionParams:
 
 @dataclass(frozen=True)
 class HessianEstimate:
-    """Symmetrized second-derivative matrix of a posterior mean."""
+    """Symmetric second-derivative matrix of a function, checked to be finite."""
 
     matrix: np.ndarray
 
@@ -74,43 +73,6 @@ def expected_improvement(mean, sd, f_best):
     return ei
 
 
-def _stencil_hessians(mean_fn, points: np.ndarray, h: float, lower, upper) -> np.ndarray:
-    """Forward-difference Hessians of ``mean_fn`` at every row of an (m, d) batch.
-
-    ``mean_fn`` maps a (k, d) batch to a (k,) array and is called once, on
-    the (d^2 + 3d)/2 + 1 stencil points of every row: base, base + h e_i and
-    base + h e_i + h e_j (i <= j). Entry (i, j) is
-    [f(x+he_i+he_j) - f(x+he_i) - f(x+he_j) + f(x)] / h^2, written to both
-    triangles, so each (d, d) slice is symmetric. The stencil reaches base + 2h
-    per coordinate, so when box bounds are given each base slides inward and
-    every evaluation stays inside the box.
-    """
-    m, dim = points.shape
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    offsets = np.zeros((1 + dim + len(pairs), dim))
-    for i in range(dim):
-        offsets[1 + i, i] = h
-    for k, (i, j) in enumerate(pairs):
-        offsets[1 + dim + k, i] += h
-        offsets[1 + dim + k, j] += h
-
-    bases = points
-    if upper is not None:
-        bases = np.minimum(bases, np.asarray(upper, dtype=float) - 2.0 * h)
-    if lower is not None:
-        bases = np.maximum(bases, np.asarray(lower, dtype=float))
-    stencil = (bases[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
-    values = np.asarray(mean_fn(stencil), dtype=float).reshape(m, -1)
-    if not np.isfinite(values).all():
-        raise NumericalError("non-finite values in Hessian stencil")
-
-    f0, fi, fij = values[:, 0], values[:, 1 : 1 + dim], values[:, 1 + dim :]
-    hess = np.empty((m, dim, dim))
-    for k, (i, j) in enumerate(pairs):
-        hess[:, i, j] = hess[:, j, i] = (fij[:, k] - fi[:, i] - fi[:, j] + f0) / (h * h)
-    return hess
-
-
 def _eigen_sum(hess: np.ndarray, eps_eig: float) -> np.ndarray:
     """Sum of absolute eigenvalues, each floored at ``eps_eig``, over the last two axes."""
     try:
@@ -123,12 +85,29 @@ def _eigen_sum(hess: np.ndarray, eps_eig: float) -> np.ndarray:
 def hessian_fd(mean_fn, x: np.ndarray, h: float, lower=None, upper=None) -> HessianEstimate:
     """Finite-difference Hessian of ``mean_fn`` at ``x`` via a four-point forward stencil.
 
-    ``mean_fn`` maps an (m, d) batch of points to an (m,) array of values.
-    When box bounds are given the stencil base is shifted inward so all
-    evaluations stay inside.
+    ``mean_fn`` maps a (k, d) batch to a (k,) array and is called once, on
+    the (d^2 + 3d)/2 + 1 stencil points base, base + h e_i and
+    base + (h e_i + h e_j) for i <= j. Entry (i, j) is
+    [f(x+he_i+he_j) - f(x+he_i) - f(x+he_j) + f(x)] / h^2, written to both
+    triangles. The stencil reaches base + 2h per coordinate, so when box
+    bounds are given the base slides inward and every evaluation stays inside.
     """
-    point = np.asarray(x, dtype=float)[None, :]
-    return HessianEstimate(_stencil_hessians(mean_fn, point, h, lower, upper)[0])
+    base = np.asarray(x, dtype=float)
+    if upper is not None:
+        base = np.minimum(base, np.asarray(upper, dtype=float) - 2.0 * h)
+    if lower is not None:
+        base = np.maximum(base, np.asarray(lower, dtype=float))
+    dim = base.size
+    steps = h * np.eye(dim)
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    stencil = [base] + [base + steps[i] for i in range(dim)]
+    stencil += [base + (steps[i] + steps[j]) for i, j in pairs]
+    values = np.asarray(mean_fn(np.array(stencil)), dtype=float)
+    f0, fi, fij = values[0], values[1 : 1 + dim], values[1 + dim :]
+    hess = np.empty((dim, dim))
+    for k, (i, j) in enumerate(pairs):
+        hess[i, j] = hess[j, i] = (fij[k] - fi[i] - fi[j] + f0) / (h * h)
+    return HessianEstimate(hess)
 
 
 def complexity_factor(hessian: HessianEstimate, eps_eig: float = EPS_EIG) -> float:
@@ -136,22 +115,13 @@ def complexity_factor(hessian: HessianEstimate, eps_eig: float = EPS_EIG) -> flo
     return float(_eigen_sum(hessian.matrix, eps_eig))
 
 
-def complexity_factor_batch(
-    gp: FittedGP, points: np.ndarray, lower=None, upper=None
-) -> np.ndarray:
-    """Complexity factors C(x) of the posterior mean for an (m, d) batch.
-
-    Evaluates the stencil points of every row in a single ``predict`` call,
-    which keeps the per-candidate cost of the penalty term down during the
-    global acquisition search.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    hess = _stencil_hessians(lambda q: predict(gp, q)[0], points, FD_STEP, lower, upper)
-    return _eigen_sum(hess, EPS_EIG)
+def complexity_factor_batch(gp: FittedGP, points: np.ndarray) -> np.ndarray:
+    """Complexity factors C(x) of the posterior mean for an (m, d) batch."""
+    return _eigen_sum(mean_hessians(gp, points), EPS_EIG)
 
 
 def adaptive_acquisition_batch(
-    gp: FittedGP, points: np.ndarray, params: AcquisitionParams, lower=None, upper=None
+    gp: FittedGP, points: np.ndarray, params: AcquisitionParams
 ) -> np.ndarray:
     """Penalized acquisition mu + kappa*sigma - lambda * sigma^2 * C over an (m, d) batch."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -159,25 +129,20 @@ def adaptive_acquisition_batch(
     base = mean + params.kappa * np.sqrt(var)
     if params.lambda_pen == 0.0:
         return base
-    comp = complexity_factor_batch(gp, points, lower=lower, upper=upper)
-    return base - params.lambda_pen * (var * comp)
+    return base - params.lambda_pen * (var * complexity_factor_batch(gp, points))
 
 
-def uncertainty_measure(
-    gp: FittedGP, x: np.ndarray, params: AcquisitionParams, lower=None, upper=None
-) -> float:
+def uncertainty_measure(gp: FittedGP, x: np.ndarray, params: AcquisitionParams) -> float:
     """Variance-weighted local complexity sigma^2(x) * C(x) at a point.
 
     ``params`` carries no setting U depends on; it mirrors :func:`adaptive_acquisition`.
     """
     point = np.asarray(x, dtype=float)[None, :]
     _, var = predict(gp, point)
-    return float(var[0] * complexity_factor_batch(gp, point, lower=lower, upper=upper)[0])
+    return float(var[0] * complexity_factor_batch(gp, point)[0])
 
 
-def adaptive_acquisition(
-    gp: FittedGP, x: np.ndarray, params: AcquisitionParams, lower=None, upper=None
-) -> float:
+def adaptive_acquisition(gp: FittedGP, x: np.ndarray, params: AcquisitionParams) -> float:
     """Penalized acquisition at a single point (a one-row batch)."""
     point = np.asarray(x, dtype=float)[None, :]
-    return float(adaptive_acquisition_batch(gp, point, params, lower=lower, upper=upper)[0])
+    return float(adaptive_acquisition_batch(gp, point, params)[0])

@@ -221,6 +221,33 @@ def predict(gp: FittedGP, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
+def mean_hessians(gp: FittedGP, points: np.ndarray) -> np.ndarray:
+    """Exact Hessians of the posterior mean at every row of an (m, d) batch.
+
+    The mean is the prior mean plus sum_i alpha_i k(x, x_i), and with
+    d_i = x - x_i and u_i = sqrt(5) |d_i| / l the Matern-2.5 kernel's Hessian is
+    (5 sigma_f^2 / 3 l^2) e^-u_i [(5 / l^2) d_i d_i^T - (1 + u_i) I]
+    (Rasmussen & Williams, 2006, ch. 4 and §9.4). It has no 1/|d_i| term, so
+    it is finite at the training points. Each row is computed on its own, so
+    its Hessian does not depend on the other rows of the batch. The
+    zero-data prior's mean is constant and its Hessians are zero.
+    """
+    q = np.atleast_2d(np.asarray(points, dtype=float))
+    train = gp.dataset.points
+    u = np.sqrt(5.0 * _sq_dists(q, train)) / gp.kernel.length_scale
+    if gp.dataset.n == 0:
+        return np.zeros((q.shape[0], gp.dim, gp.dim))
+    ell_sq = gp.kernel.length_scale**2
+    weights = gp.alpha * (5.0 * gp.kernel.amplitude_sq / (3.0 * ell_sq)) * np.exp(-u)
+    diff = q[:, None, :] - train[None, :, :]
+    outer = np.matmul(np.swapaxes(diff * weights[:, :, None], 1, 2), diff)
+    # (w d_i) d_j and (w d_j) d_i can round differently; average the triangles.
+    hess = (5.0 / ell_sq) * 0.5 * (outer + np.swapaxes(outer, 1, 2))
+    diag = np.arange(gp.dim)
+    hess[:, diag, diag] -= np.sum(weights * (1.0 + u), axis=1)[:, None]
+    return hess
+
+
 def log_marginal_likelihood(gp: FittedGP) -> float:
     """Log marginal likelihood of the training data under the fitted kernel."""
     n = gp.dataset.n

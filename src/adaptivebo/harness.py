@@ -228,10 +228,9 @@ class _TrialRunner:
             params = AcquisitionParams(kappa=state.kappa, lambda_pen=state.lambda_pen)
         else:  # fixed-kappa UCB
             params = AcquisitionParams(kappa=cfg.kappa_init, lambda_pen=0.0)
-        lo, hi = self.unit.lower, self.unit.upper
 
         def acq(points: np.ndarray) -> np.ndarray:
-            return adaptive_acquisition_batch(model, points, params, lower=lo, upper=hi)
+            return adaptive_acquisition_batch(model, points, params)
 
         return acq
 

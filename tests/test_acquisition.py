@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from adaptivebo.acquisition import (
     EPS_EIG,
-    FD_STEP,
     AcquisitionParams,
     HessianEstimate,
     adaptive_acquisition,
@@ -21,6 +20,10 @@ from adaptivebo.acquisition import (
 )
 from adaptivebo.errors import NumericalError
 from adaptivebo.gp import Dataset, GPConfig, KernelParams, fit, predict
+from adaptivebo.search import Domain, SearchConfig, propose_next, sobol_samples
+
+# Step of the finite-difference stencils below.
+FD_STEP = 1e-4
 
 
 def ei_mc_oracle(mean, sd, f_best, n_samples, seed):
@@ -259,14 +262,12 @@ class TestAdaptiveAcquisition:
         assert value == pytest.approx(1.0 - 0.01 * 2e-6, rel=1e-15)
 
     def test_batch_matches_pointwise(self, fitted):
-        # Ulp-level differences in batched mean predictions are amplified by
-        # the 1/h^2 Hessian stencil, so agreement is limited to ~eps/h^2.
         rng = np.random.default_rng(19)
         params = AcquisitionParams(kappa=1.3, lambda_pen=0.05)
         points = rng.uniform(size=(25, 2))
         batch = adaptive_acquisition_batch(fitted, points, params)
         for i, x in enumerate(points):
-            assert batch[i] == pytest.approx(adaptive_acquisition(fitted, x, params), abs=1e-6)
+            assert batch[i] == pytest.approx(adaptive_acquisition(fitted, x, params), abs=1e-12)
 
     def test_argmax_invariant_under_constant_mean_shift(self):
         # A constant added to the prior mean (and observations) shifts the
@@ -289,9 +290,58 @@ class TestAdaptiveAcquisition:
         np.testing.assert_allclose(b - a, shift, atol=1e-8)
 
 
+class TestComplexityFactorBatch:
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    def test_row_is_exactly_equal_alone_and_in_any_batch(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for n in (5, 30, 100):
+            gp = random_fitted_gp(rng, dim, n)
+            points = rng.uniform(size=(1000, dim))
+            points[:5] = gp.dataset.points[:5]
+            full = complexity_factor_batch(gp, points)
+            for size in (5, 21):
+                for start in range(0, 1000 - size, 97):
+                    np.testing.assert_array_equal(
+                        complexity_factor_batch(gp, points[start : start + size]),
+                        full[start : start + size],
+                    )
+            for i in range(0, 1000, 37):
+                assert complexity_factor_batch(gp, points[i : i + 1])[0] == full[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        n=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.floats(0.0, 10.0),
+        lambda_pen=st.floats(0.0, 10.0),
+    )
+    def test_penalized_search_stays_in_box_and_beats_sweep(
+        self, dim, n, seed, kappa, lambda_pen
+    ):
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-2.0, 0.0, size=dim)
+        domain = Domain(lower, lower + rng.uniform(0.05, 3.0, size=dim))
+        data = Dataset(rng.uniform(domain.lower, domain.upper, size=(n, dim)), rng.normal(size=n))
+        gp = fit(data, KernelParams(length_scale=float(rng.uniform(0.1, 2.0))),
+                 GPConfig(noise_variance=0.01))
+        params = AcquisitionParams(kappa=kappa, lambda_pen=lambda_pen)
+
+        def acq(points):
+            return adaptive_acquisition_batch(gp, points, params)
+
+        cfg = SearchConfig(n_global=64, n_refine=2)
+        x = propose_next(gp, acq, domain, cfg)
+        assert domain.contains(x)
+        # A one-row score can differ from the same row's batched score in the
+        # last bits of predict's mean, which agrees with itself to 1e-12.
+        best_sweep = np.max(acq(sobol_samples(domain, cfg.n_global)))
+        assert acq(x[None, :])[0] >= best_sweep - 1e-12 * max(1.0, abs(best_sweep))
+
+
 class TestStencilAgainstReference:
     @pytest.mark.parametrize("dim", [1, 2, 5])
-    def test_batch_and_pointwise_match_per_point_loop(self, dim):
+    def test_hessian_fd_matches_per_point_loop(self, dim):
         rng = np.random.default_rng(100 + dim)
         lower, upper = np.zeros(dim), np.ones(dim)
         # Data sizes a trial passes through: the initial design up to the budget.
@@ -302,11 +352,7 @@ class TestStencilAgainstReference:
             points[::3, rng.integers(dim)] = 1.0 - rng.uniform(0.0, 2.0 * FD_STEP, size=4)
             points[1, :] = 1.0
             # The same stencil points in the same single predict call give the
-            # same mean values, so both paths must match the reference exactly.
-            ref = reference_hessians(gp, points, FD_STEP, lower, upper)
-            expected = np.sum(np.maximum(np.abs(np.linalg.eigvalsh(ref)), EPS_EIG), axis=-1)
-            batch = complexity_factor_batch(gp, points, lower=lower, upper=upper)
-            np.testing.assert_array_equal(batch, expected)
+            # same mean values, so the estimate must match the reference exactly.
             for x in points:
                 est = hessian_fd(
                     lambda q: predict(gp, q)[0], x, FD_STEP, lower=lower, upper=upper
@@ -339,5 +385,4 @@ class TestStencilAgainstReference:
         stencil = np.vstack(seen)
         assert np.all(stencil >= lower) and np.all(stencil <= upper)
         assert complexity_factor(est) >= dim * EPS_EIG
-        batch = complexity_factor_batch(gp, x[None, :], lower=lower, upper=upper)
-        assert batch[0] >= dim * EPS_EIG
+        assert complexity_factor_batch(gp, x[None, :])[0] >= dim * EPS_EIG

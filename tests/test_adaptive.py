@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptivebo.adaptive import (
     AdaptiveState,
@@ -130,6 +132,26 @@ class TestBoundsNeverViolated:
             update_kappa(state, delta)
             i_t = record_integrated_variance(state, rng.uniform(0, 1000))
             update_lambda(state, i_t)
+            assert 0.01 <= state.kappa <= 10.0
+            assert 0.0 <= state.lambda_pen <= 10.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kappa=st.floats(0.01, 10.0),
+        lambda_pen=st.floats(0.0, 10.0),
+        rates=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(1e-6, 1.0 - 1e-6)),
+        stream=st.lists(
+            st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.floats(0.0, 1e300)),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_arbitrary_error_and_variance_streams(self, kappa, lambda_pen, rates, stream):
+        beta, gamma, eta = rates
+        state = make_state(kappa=kappa, lambda_pen=lambda_pen, beta=beta, gamma=gamma, eta=eta)
+        for observed, predicted, variance in stream:
+            update_kappa(state, record_prediction_error(state, observed, predicted))
+            update_lambda(state, record_integrated_variance(state, variance))
             assert 0.01 <= state.kappa <= 10.0
             assert 0.0 <= state.lambda_pen <= 10.0
 

@@ -22,6 +22,7 @@ from adaptivebo.gp import (
     kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
+    mean_hessians,
     optimize_hyperparameters,
     predict,
 )
@@ -223,6 +224,59 @@ class TestPredict:
         )
         with pytest.raises(NumericalError):
             predict(bad, np.array([0.5]))
+
+
+def central_difference_hessian(gp, x, h):
+    """Hessian of the posterior mean at ``x`` from four-point central differences."""
+    dim = x.size
+    steps = h * np.eye(dim)
+    stencil = [
+        x + si * steps[i] + sj * steps[j]
+        for i in range(dim) for j in range(dim) for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    v = predict(gp, np.array(stencil))[0].reshape(dim, dim, 4)
+    return (v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]) / (4.0 * h * h)
+
+
+class TestMeanHessians:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 30),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        log_length=st.floats(np.log(0.1), np.log(2.0)),
+        log_noise=st.floats(np.log(1e-4), np.log(1e-1)),
+    )
+    def test_symmetric_and_matches_central_differences(
+        self, n, dim, seed, log_length, log_noise
+    ):
+        rng = np.random.default_rng(seed)
+        length = float(np.exp(log_length))
+        data = Dataset(rng.uniform(size=(n, dim)), rng.normal(size=n))
+        gp = fit(data, KernelParams(length_scale=length),
+                 GPConfig(noise_variance=float(np.exp(log_noise))))
+        # Random queries plus queries exactly on training points.
+        query = np.vstack([rng.uniform(size=(3, dim)), data.points[:2]])
+        hess = mean_hessians(gp, query)
+        assert hess.shape == (len(query), dim, dim)
+        np.testing.assert_array_equal(hess, np.swapaxes(hess, 1, 2))
+        if n == 0:
+            np.testing.assert_array_equal(hess, 0.0)
+            return
+        # Every Hessian entry is a sum of sigma_f^2 |alpha_i| / l^2 times a
+        # bounded function of d_i / l. The central difference is off by a
+        # truncation error of order (h / l)^2 (the kernel is C^4) plus a
+        # rounding error of order eps (l / h)^2, both in units of that scale.
+        scale = gp.kernel.amplitude_sq * np.sum(np.abs(gp.alpha)) / length**2
+        h = 1e-4 * length
+        tol = scale * (50.0 * (h / length) ** 2 + 8.0 * np.finfo(float).eps * (length / h) ** 2)
+        for x, exact in zip(query, hess):
+            np.testing.assert_allclose(exact, central_difference_hessian(gp, x, h), rtol=0, atol=tol)
+
+    def test_dimension_mismatch_raises(self):
+        gp = fit(Dataset(np.eye(2), [0.0, 1.0]), KernelParams(), GPConfig())
+        with pytest.raises(DimensionMismatchError):
+            mean_hessians(gp, np.zeros((1, 3)))
 
 
 class TestLogMarginalLikelihood:
