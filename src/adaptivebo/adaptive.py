@@ -32,7 +32,6 @@ class AdaptiveState:
     lambda_max: float = 10.0
     delta_bar: float | None = None
     i_bar: float | None = None
-    t: int = 0
 
     def __post_init__(self) -> None:
         lo, hi = self.kappa_bounds

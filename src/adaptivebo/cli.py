@@ -10,23 +10,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .benchmarks import FUNCTION_NAMES, get_test_function
-from .harness import STRATEGY_KINDS, ExperimentConfig, run_experiment, run_trial, trial_seed_for
+from .harness import STRATEGY_KINDS, ExperimentConfig, run_experiment, run_trial
 from .metrics import compute_metrics, summarize
-from .output import load_config, load_trace, trace_from_dicts, write_outputs
-
-REPORT_COLUMNS = (
-    "function", "dim", "noise_std", "strategy", "kappa_init", "lambda_init",
-    "n_trials", "best_mean", "best_median", "best_std",
-    "regret_mean", "regret_median", "regret_std",
-    "exploration_mean", "mean_iter_seconds",
-)
+from .output import load_config, load_traces, report_row, write_outputs, write_report
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -55,37 +45,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for config_path in sorted(Path(args.in_dir).rglob("config.json")):
-        exp_dir = config_path.parent
         cfg = ExperimentConfig.from_dict(load_config(config_path))
         fn = get_test_function(cfg.function, cfg.dim)
-        metrics = []
-        for trace_path in sorted(exp_dir.glob("trace_trial*.jsonl")):
-            trial = int(trace_path.stem.removeprefix("trace_trial"))
-            trace = trace_from_dicts(
-                load_trace(trace_path), trial=trial, seed=trial_seed_for(cfg, trial)
-            )
-            metrics.append(
-                compute_metrics(trace, fn, grid_bins=cfg.grid_bins, n_init=cfg.n_init)
-            )
-        if not metrics:
-            continue
-        agg = summarize(metrics)
-        rows.append([
-            cfg.function, cfg.dim, repr(cfg.noise_std), cfg.strategy,
-            repr(cfg.kappa_init), repr(cfg.lambda_init), agg.n_trials,
-            repr(agg.best_mean), repr(agg.best_median), repr(agg.best_std),
-            repr(agg.regret_mean), repr(agg.regret_median), repr(agg.regret_std),
-            repr(float(np.mean([m.exploration_efficiency for m in metrics]))),
-            repr(float(np.mean([m.mean_iter_seconds for m in metrics]))),
-        ])
+        metrics = [
+            compute_metrics(trace, fn, grid_bins=cfg.grid_bins, n_init=cfg.n_init)
+            for trace in load_traces(config_path.parent, cfg)
+        ]
+        if metrics:
+            rows.append(report_row(cfg, metrics))
 
     if not rows:
         print(f"no experiment directories found under {args.in_dir}", file=sys.stderr)
         return 1
-    with Path(args.out).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(rows)
+    write_report(Path(args.out), rows)
     print(f"wrote {len(rows)} experiment row(s) to {args.out}")
     return 0
 

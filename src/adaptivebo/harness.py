@@ -238,17 +238,15 @@ class _TrialRunner:
 def run_trial(cfg: ExperimentConfig, trial_seed: int, trial_index: int = 0) -> TrialTrace:
     """Execute one seeded trial of ``budget`` evaluations and return its trace."""
     runner = _TrialRunner(cfg, trial_seed, trial_index)
-
-    if cfg.strategy == "random":
-        return _run_random_trial(runner)
-
+    random_search = cfg.strategy == "random"
     adaptive = cfg.strategy == "adaptive"
     state = cfg.adaptive_state() if adaptive else None
     kappa0 = cfg.kappa_init if cfg.strategy in ("adaptive", "ucb") else 0.0
     lambda0 = cfg.lambda_init if adaptive else 0.0
 
-    # Initial design, counted against the budget.
-    init_points = _draw(runner.sampler, cfg.n_init)
+    # Initial design, counted against the budget. Random search is a design of
+    # ``budget`` points with kappa = lambda = 0: the seeded scrambled-Sobol stream.
+    init_points = _draw(runner.sampler, cfg.budget if random_search else cfg.n_init)
     for i, x_unit in enumerate(init_points):
         start = time.perf_counter()
         f_true, y, y_internal = runner.evaluate(x_unit)
@@ -261,6 +259,8 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, trial_index: int = 0) -> T
             i_mc=0.0, i_bar=0.0, best_true=best,
             iter_seconds=time.perf_counter() - start,
         ))
+    if random_search:
+        return runner.trace
     runner.refit()
 
     search_cfg = cfg.search_config()
@@ -304,23 +304,6 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, trial_index: int = 0) -> T
         ))
 
     runner.trace.final_kernel = runner.kernel
-    return runner.trace
-
-
-def _run_random_trial(runner: _TrialRunner) -> TrialTrace:
-    """Quasi-random search: the whole trace is the seeded scrambled-Sobol stream."""
-    cfg = runner.cfg
-    points = _draw(runner.sampler, cfg.budget)
-    for i, x_unit in enumerate(points):
-        start = time.perf_counter()
-        f_true, y, _ = runner.evaluate(x_unit)
-        best = runner.update_best(f_true)
-        runner.trace.records.append(IterationRecord(
-            t=i + 1, x=runner.to_original(x_unit), y=y, f_true=f_true,
-            kappa=0.0, lambda_pen=0.0, delta=0.0, delta_bar=0.0,
-            i_mc=0.0, i_bar=0.0, best_true=best,
-            iter_seconds=time.perf_counter() - start,
-        ))
     return runner.trace
 
 

@@ -1,4 +1,4 @@
-"""Trace and summary file formats.
+"""Every on-disk format: traces, summary CSV, aggregate JSON and the report CSV.
 
 Each experiment directory holds:
 
@@ -6,6 +6,9 @@ Each experiment directory holds:
 * ``trace_trialNNN.jsonl``  one JSON record per iteration (budget lines)
 * ``summary.csv``       one row per successful trial
 * ``aggregate.json``    across-trial statistics, failures, final kernels
+
+and ``adaptivebo report`` writes one ``report.csv`` row per directory. Each
+format is derived from the fields of the dataclass it serializes.
 
 Outputs are byte-identical across reruns of the same config and seed;
 wall-time fields are written as 0.0 unless timing output is requested,
@@ -16,41 +19,46 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
-from .harness import ExperimentResult, IterationRecord, TrialTrace
-from .metrics import ExperimentSummary, TrialMetrics
+from .harness import ExperimentConfig, ExperimentResult, IterationRecord, TrialTrace, \
+    trial_seed_for
+from .metrics import ExperimentSummary, TrialMetrics, summarize
 
-SUMMARY_COLUMNS = (
-    "function", "dim", "noise_std", "strategy", "kappa_init", "lambda_init",
-    "trial", "seed", "best_value", "simple_regret",
-    "conv_iters_10", "conv_iters_5", "conv_iters_1",
-    "exploration_efficiency", "mean_iter_seconds",
-)
+# The experiment cell that a summary.csv or report.csv row belongs to.
+CONFIG_COLUMNS = ("function", "dim", "noise_std", "strategy", "kappa_init", "lambda_init")
+SUMMARY_COLUMNS = CONFIG_COLUMNS + tuple(f.name for f in fields(TrialMetrics))
+REPORT_COLUMNS = (CONFIG_COLUMNS + tuple(f.name for f in fields(ExperimentSummary))
+                  + ("exploration_mean", "mean_iter_seconds"))
+
+# The trace key of each IterationRecord field, in field order, and its type.
+_TRACE_KEYS = {f.name: f.name for f in fields(IterationRecord)} | {"lambda_pen": "lambda"}
+_TRACE_TYPES = get_type_hints(IterationRecord)
+_ARRAY_KEYS = tuple(_TRACE_KEYS[name] for name, kind in _TRACE_TYPES.items()
+                    if kind is np.ndarray)
+_TRACE_PREFIX = "trace_trial"
 
 
 def trace_filename(trial: int) -> str:
-    return f"trace_trial{trial:03d}.jsonl"
+    return f"{_TRACE_PREFIX}{trial:03d}.jsonl"
+
+
+def _field_values(obj) -> list:
+    return [getattr(obj, f.name) for f in fields(obj)]
 
 
 def _record_dict(record: IterationRecord, include_timing: bool) -> dict:
-    return {
-        "t": record.t,
-        "x": [float(v) for v in record.x],
-        "y": record.y,
-        "f_true": record.f_true,
-        "kappa": record.kappa,
-        "lambda": record.lambda_pen,
-        "delta": record.delta,
-        "delta_bar": record.delta_bar,
-        "i_mc": record.i_mc,
-        "i_bar": record.i_bar,
-        "best_true": record.best_true,
-        "iter_seconds": record.iter_seconds if include_timing else 0.0,
-    }
+    # vars() lists a dataclass's fields in declaration order.
+    row = {_TRACE_KEYS[name]: value for name, value in vars(record).items()}
+    for key in _ARRAY_KEYS:
+        row[key] = np.asarray(row[key], dtype=float).tolist()
+    if not include_timing:
+        row["iter_seconds"] = 0.0
+    return row
 
 
 def write_trace(path: Path, trace: TrialTrace, include_timing: bool = False) -> None:
@@ -71,62 +79,46 @@ def load_trace(path: Path) -> list[dict]:
     return records
 
 
+def _parse(kind: type, value):
+    return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+
+
 def trace_from_dicts(records: list[dict], trial: int, seed: int) -> TrialTrace:
     """Rebuild an in-memory trace from parsed JSONL records."""
     trace = TrialTrace(trial=trial, seed=seed)
     for rec in records:
-        trace.records.append(IterationRecord(
-            t=int(rec["t"]),
-            x=np.asarray(rec["x"], dtype=float),
-            y=float(rec["y"]),
-            f_true=float(rec["f_true"]),
-            kappa=float(rec["kappa"]),
-            lambda_pen=float(rec["lambda"]),
-            delta=float(rec["delta"]),
-            delta_bar=float(rec["delta_bar"]),
-            i_mc=float(rec["i_mc"]),
-            i_bar=float(rec["i_bar"]),
-            best_true=float(rec["best_true"]),
-            iter_seconds=float(rec["iter_seconds"]),
-        ))
+        trace.records.append(IterationRecord(**{
+            name: _parse(_TRACE_TYPES[name], rec[key]) for name, key in _TRACE_KEYS.items()
+        }))
     return trace
+
+
+def load_traces(exp_dir: Path, config: ExperimentConfig) -> list[TrialTrace]:
+    """Every trace stored in an experiment directory, in trial order."""
+    traces = []
+    for path in sorted(Path(exp_dir).glob(f"{_TRACE_PREFIX}*.jsonl")):
+        trial = int(path.stem.removeprefix(_TRACE_PREFIX))
+        traces.append(trace_from_dicts(load_trace(path), trial, trial_seed_for(config, trial)))
+    return traces
 
 
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
-def write_summary_csv(
-    path: Path,
-    config,
-    metrics: Iterable[TrialMetrics],
-    include_timing: bool = False,
-) -> None:
+def _write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[list]) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for m in metrics:
-            writer.writerow([
-                config.function,
-                config.dim,
-                _format_cell(config.noise_std),
-                config.strategy,
-                _format_cell(config.kappa_init),
-                _format_cell(config.lambda_init),
-                m.trial,
-                m.seed,
-                _format_cell(m.best_value),
-                _format_cell(m.simple_regret),
-                _format_cell(m.conv_iters_10),
-                _format_cell(m.conv_iters_5),
-                _format_cell(m.conv_iters_1),
-                _format_cell(m.exploration_efficiency),
-                _format_cell(m.mean_iter_seconds if include_timing else 0.0),
-            ])
+        writer.writerow(columns)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
+
+
+def _config_cells(config: ExperimentConfig) -> list:
+    return [getattr(config, column) for column in CONFIG_COLUMNS]
 
 
 def write_outputs(
@@ -136,7 +128,11 @@ def write_outputs(
     summary: ExperimentSummary | None,
     include_timing: bool = False,
 ) -> None:
-    """Write config, traces, per-trial summary CSV, and the aggregate record."""
+    """Write config, traces, per-trial summary CSV, and the aggregate record.
+
+    Trace files left in ``out_dir`` by an earlier run and not rewritten by
+    this one are removed, so the directory holds exactly this run's traces.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -144,36 +140,46 @@ def write_outputs(
         json.dump(result.config.to_dict(), handle, indent=2)
         handle.write("\n")
 
+    written = {trace_filename(trace.trial) for trace in result.traces}
+    for path in out.glob(f"{_TRACE_PREFIX}*.jsonl"):
+        if path.name not in written:
+            path.unlink()
     for trace in result.traces:
         write_trace(out / trace_filename(trace.trial), trace, include_timing)
 
-    write_summary_csv(out / "summary.csv", result.config, metrics, include_timing)
+    if not include_timing:
+        metrics = [replace(m, mean_iter_seconds=0.0) for m in metrics]
+    config_cells = _config_cells(result.config)
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
+               (config_cells + _field_values(m) for m in metrics))
 
     aggregate = {
         "n_trials_requested": result.config.n_trials,
         "n_trials_succeeded": len(result.traces),
-        "failures": [
-            {"trial": f.trial, "seed": f.seed, "error": f.error} for f in result.failures
-        ],
+        "failures": [asdict(f) for f in result.failures],
         "summary": None if summary is None else {
-            "best_mean": summary.best_mean,
-            "best_median": summary.best_median,
-            "best_std": summary.best_std,
-            "regret_mean": summary.regret_mean,
-            "regret_median": summary.regret_median,
-            "regret_std": summary.regret_std,
+            key: value for key, value in asdict(summary).items() if key != "n_trials"
         },
         "final_kernels": {
-            str(trace.trial): None if trace.final_kernel is None else {
-                "amplitude_sq": trace.final_kernel.amplitude_sq,
-                "length_scale": trace.final_kernel.length_scale,
-            }
+            str(trace.trial): None if trace.final_kernel is None else asdict(trace.final_kernel)
             for trace in result.traces
         },
     }
     with (out / "aggregate.json").open("w", encoding="utf-8") as handle:
         json.dump(aggregate, handle, indent=2)
         handle.write("\n")
+
+
+def report_row(config: ExperimentConfig, metrics: list[TrialMetrics]) -> list:
+    """One report.csv row: the cell, its across-trial summary and two trial means."""
+    return (_config_cells(config) + _field_values(summarize(metrics)) + [
+        float(np.mean([m.exploration_efficiency for m in metrics])),
+        float(np.mean([m.mean_iter_seconds for m in metrics])),
+    ])
+
+
+def write_report(path: Path, rows: Iterable[list]) -> None:
+    _write_csv(path, REPORT_COLUMNS, rows)
 
 
 def load_config(path: Path) -> dict:

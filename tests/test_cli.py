@@ -85,6 +85,24 @@ class TestReport:
             agg = next(csv.DictReader(handle))
         assert float(agg["best_mean"]) == pytest.approx(sum(bests) / 2, abs=1e-15)
 
+    def test_rerun_into_same_directory_reports_only_its_trials(self, tmp_path):
+        exp = tmp_path / "exp"
+        cfg = {"function": "ackley", "dim": 2, "strategy": "random", "budget": 8,
+               "n_trials": 4, "n_init": 3}
+        config = tmp_path / "ackley.json"
+        config.write_text(json.dumps(cfg))
+        main(["run", "--config", str(config), "--out", str(exp)])
+        main(["run", "--config", str(config), "--out", str(exp), "--trials", "2", "--seed", "100"])
+        with (exp / "summary.csv").open() as handle:
+            summary_rows = list(csv.DictReader(handle))
+        report_csv = tmp_path / "report.csv"
+        main(["report", "--in", str(exp), "--out", str(report_csv)])
+        with report_csv.open() as handle:
+            report = next(csv.DictReader(handle))
+        assert int(report["n_trials"]) == len(summary_rows) == 2
+        bests = [float(r["best_value"]) for r in summary_rows]
+        assert float(report["best_mean"]) == pytest.approx(sum(bests) / 2, abs=1e-15)
+
     def test_empty_directory_fails(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nothing"),
                      "--out", str(tmp_path / "r.csv")]) == 1

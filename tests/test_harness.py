@@ -3,12 +3,17 @@
 import json
 import multiprocessing
 import os
+import struct
+import tempfile
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import adaptivebo.harness as harness
@@ -403,6 +408,72 @@ class TestOutputs:
                       include_timing=True)
         records = load_trace(tmp_path / "timed" / trace_filename(0))
         assert any(r["iter_seconds"] > 0.0 for r in records)
+
+    def test_rewrite_removes_traces_it_does_not_write(self, tmp_path, monkeypatch):
+        # A rerun into the same directory with fewer trials, or with a trial
+        # that now fails, must not leave the earlier run's traces behind.
+        self._run_and_write(tmp_path, n_trials=4, strategy="random")
+        real_run_trial = harness.run_trial
+
+        def flaky(cfg, trial_seed, trial_index=0):
+            if trial_index == 0:
+                raise ValueError("synthetic failure")
+            return real_run_trial(cfg, trial_seed, trial_index)
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        self._run_and_write(tmp_path, n_trials=2, strategy="random")
+        assert sorted(p.name for p in tmp_path.glob("trace_*")) == [trace_filename(1)]
+
+    def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
+        noise = np.linspace(0.0, 0.2, 3)[1]  # np.float64(0.1), as a grid builds it
+        self._run_and_write(tmp_path, noise_std=noise, strategy="random", n_trials=1)
+        row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[SUMMARY_COLUMNS.index("noise_std")] == "0.1"
+        assert json.loads((tmp_path / "config.json").read_text())["noise_std"] == 0.1
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_FIELDS = [f.name for f in fields(IterationRecord) if f.name not in ("t", "x")]
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@st.composite
+def iteration_records(draw):
+    dim = draw(st.integers(1, 10))
+    return [
+        IterationRecord(
+            t=draw(st.integers()),
+            x=np.array(draw(st.lists(FINITE, min_size=dim, max_size=dim)), dtype=float),
+            **{name: draw(FINITE) for name in FLOAT_FIELDS},
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(records=iteration_records(), include_timing=st.booleans())
+    @example(records=[IterationRecord(
+        t=-(2**70), x=np.array([-0.0, 5e-324, 1e308, -1e308]), y=-0.0, f_true=5e-324,
+        kappa=1e308, lambda_pen=-1e308, delta=2.2250738585072014e-308, delta_bar=-5e-324,
+        i_mc=0.1, i_bar=1 / 3, best_true=-1e-310, iter_seconds=-0.0,
+    )], include_timing=True)
+    def test_jsonl_round_trip_is_exact(self, records, include_timing):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / trace_filename(0)
+            write_trace(path, TrialTrace(trial=0, seed=0, records=records), include_timing)
+            loaded = trace_from_dicts(load_trace(path), trial=0, seed=0).records
+        assert len(loaded) == len(records)
+        for a, b in zip(records, loaded):
+            assert type(b.t) is int and b.t == a.t
+            assert b.x.dtype == np.float64 and b.x.tobytes() == a.x.tobytes()
+            expected = [getattr(a, name) for name in FLOAT_FIELDS]
+            if not include_timing:
+                expected[FLOAT_FIELDS.index("iter_seconds")] = 0.0
+            assert _bits([getattr(b, name) for name in FLOAT_FIELDS]) == _bits(expected)
 
 
 class TestStrategyAndConfig:
