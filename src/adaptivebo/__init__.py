@@ -2,14 +2,9 @@
 
 from .acquisition import (
     AcquisitionParams,
-    HessianEstimate,
-    adaptive_acquisition,
     adaptive_acquisition_batch,
     complexity_factor,
     expected_improvement,
-    hessian_fd,
-    ucb,
-    uncertainty_measure,
 )
 from .adaptive import (
     AdaptiveState,
@@ -43,7 +38,6 @@ from .gp import (
     GPConfig,
     KernelParams,
     fit,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
     optimize_hyperparameters,

@@ -94,10 +94,6 @@ class Dataset:
     def empty(dim: int) -> "Dataset":
         return Dataset(np.empty((0, dim)), np.empty(0))
 
-    def append(self, x: np.ndarray, y: float) -> "Dataset":
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return Dataset(np.vstack([self.points, x]), np.append(self.values, y))
-
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
@@ -116,13 +112,6 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
     b = np.atleast_2d(np.asarray(b, dtype=float))
     u = np.sqrt(5.0 * _sq_dists(a, b)) / params.length_scale
     return params.amplitude_sq * (1.0 + u + u * u / 3.0) * np.exp(-u)
-
-
-def kernel_eval(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
-    """Covariance between two points."""
-    a = np.asarray(a, dtype=float).reshape(1, -1)
-    b = np.asarray(b, dtype=float).reshape(1, -1)
-    return float(kernel_matrix(a, b, params)[0, 0])
 
 
 @dataclass(frozen=True)

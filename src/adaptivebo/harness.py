@@ -59,6 +59,11 @@ class ExperimentConfig:
     grid_bins: int = 10
 
     def __post_init__(self) -> None:
+        # A grid built with numpy passes numpy scalars, which json cannot
+        # write. .item() keeps each value's kind: an int stays an int.
+        for name, value in vars(self).items():
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         if self.function not in FUNCTION_NAMES:
             raise ValueError(f"unknown function {self.function!r}; choose from {FUNCTION_NAMES}")
         if self.strategy not in STRATEGY_KINDS:

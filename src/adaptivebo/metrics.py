@@ -128,8 +128,6 @@ class RegretCurves:
     simple: np.ndarray
     cumulative: np.ndarray
     rate: np.ndarray
-    simple_mean: np.ndarray
-    simple_std: np.ndarray
 
 
 def regret_curve(traces: list[TrialTrace], fn: TestFunction) -> RegretCurves:
@@ -143,10 +141,4 @@ def regret_curve(traces: list[TrialTrace], fn: TestFunction) -> RegretCurves:
     simple = np.minimum.accumulate(gaps, axis=1)
     cumulative = np.cumsum(gaps, axis=1)
     steps = np.arange(1, gaps.shape[1] + 1)
-    return RegretCurves(
-        simple=simple,
-        cumulative=cumulative,
-        rate=cumulative / steps,
-        simple_mean=simple.mean(axis=0),
-        simple_std=simple.std(axis=0),
-    )
+    return RegretCurves(simple=simple, cumulative=cumulative, rate=cumulative / steps)

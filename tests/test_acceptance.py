@@ -14,13 +14,10 @@ from scipy.stats import qmc
 
 from adaptivebo.acquisition import (
     AcquisitionParams,
-    HessianEstimate,
-    adaptive_acquisition,
+    adaptive_acquisition_batch,
     complexity_factor,
+    complexity_factor_batch,
     expected_improvement,
-    hessian_fd,
-    ucb,
-    uncertainty_measure,
 )
 from adaptivebo.adaptive import (
     AdaptiveState,
@@ -37,14 +34,19 @@ from adaptivebo.gp import (
     GPConfig,
     KernelParams,
     fit,
-    kernel_eval,
+    kernel_matrix,
     log_marginal_likelihood,
     predict,
 )
 from adaptivebo.harness import ExperimentConfig, run_experiment
 from adaptivebo.metrics import compute_metrics, regret_curve
 
-from test_gp import dense_lml_oracle, dense_predict_oracle, matern_bessel_oracle
+from test_gp import (
+    central_difference_hessian,
+    dense_lml_oracle,
+    dense_predict_oracle,
+    matern_bessel_oracle,
+)
 
 
 def _report(number: int, message: str) -> None:
@@ -88,7 +90,8 @@ def test_criterion_2_matern_closed_form_vs_bessel():
     for _ in range(1000):
         ell = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
         r = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))) * ell
-        closed = kernel_eval(np.zeros(1), np.array([r]), KernelParams(length_scale=ell))
+        p = KernelParams(length_scale=ell)
+        closed = kernel_matrix(np.zeros((1, 1)), np.array([[r]]), p)[0, 0]
         worst = max(worst, abs(closed - float(matern_bessel_oracle(r, ell))))
     assert worst < 1e-10
     _report(2, f"1000 (r, l) pairs: max closed-vs-Bessel error {worst:.2e} < 1e-10")
@@ -100,11 +103,10 @@ def test_criterion_3_acquisition_reductions_exact():
     gp = fit(data, KernelParams(), GPConfig(noise_variance=0.01))
     ucb_params = AcquisitionParams(kappa=1.7, lambda_pen=0.0)
     mean_params = AcquisitionParams(kappa=0.0, lambda_pen=0.0)
-    for _ in range(1000):
-        x = rng.uniform(size=3)
-        mean, var = predict(gp, x)
-        assert adaptive_acquisition(gp, x, ucb_params) == ucb(mean, np.sqrt(var), 1.7)
-        assert adaptive_acquisition(gp, x, mean_params) == mean
+    points = rng.uniform(size=(1000, 3))
+    mean, var = predict(gp, points)
+    assert np.all(adaptive_acquisition_batch(gp, points, ucb_params) == mean + 1.7 * np.sqrt(var))
+    assert np.all(adaptive_acquisition_batch(gp, points, mean_params) == mean)
     _report(3, "lambda=0 equals UCB and kappa=lambda=0 equals the mean, exactly, at 1000 points")
 
 
@@ -129,21 +131,28 @@ def test_criterion_5_complexity_factor_pipeline():
         d = int(rng.integers(2, 5))
         sym = rng.normal(size=(d, d))
         sym = (sym + sym.T) / 2
+        # A symmetric matrix's singular values are its absolute eigenvalues.
+        expected = np.sum(np.maximum(np.linalg.svd(sym, compute_uv=False), 1e-6))
+        assert complexity_factor(sym, 1e-6) == pytest.approx(expected, abs=1e-3)
 
-        def quadratic(pts, _A=sym):
-            pts = np.atleast_2d(pts)
-            return 0.5 * np.einsum("ni,ij,nj->n", pts, _A, pts)
-
-        est = hessian_fd(quadratic, rng.uniform(size=d), h=1e-4)
-        value = complexity_factor(est, 1e-6)
-        expected = np.sum(np.maximum(np.abs(np.linalg.eigvalsh(sym)), 1e-6))
-        assert value == pytest.approx(expected, abs=1e-3)
+    worst = 0.0
+    for _ in range(10):
+        d = int(rng.integers(2, 5))
+        data = Dataset(rng.uniform(size=(12, d)), rng.normal(size=12))
+        gp = fit(data, KernelParams(), GPConfig(noise_variance=0.01))
+        points = rng.uniform(size=(5, d))
+        exact = complexity_factor_batch(gp, points)
+        for x, value in zip(points, exact):
+            fd = complexity_factor(central_difference_hessian(gp, x, 1e-4))
+            worst = max(worst, abs(value - fd) / fd)
+    assert worst < 1e-3
 
     for d in (1, 2, 3, 5):
         gp = fit(Dataset.empty(d), KernelParams(amplitude_sq=1.0), GPConfig())
-        measured = uncertainty_measure(gp, np.full(d, 0.4), AcquisitionParams())
-        assert measured == d * 1e-6
-    _report(5, "quadratic Hessian pipeline within 1e-3; zero-data measure exactly d*1e-6")
+        params = AcquisitionParams(kappa=0.0, lambda_pen=1.0)
+        assert adaptive_acquisition_batch(gp, np.full((1, d), 0.4), params)[0] == -d * 1e-6
+    _report(5, f"C of a symmetric matrix within 1e-3; harness C vs central-difference C "
+               f"within {worst:.1e} relative; zero-data penalty exactly d*1e-6")
 
 
 def test_criterion_6_update_rule_invariants():

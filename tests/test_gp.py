@@ -19,7 +19,6 @@ from adaptivebo.gp import (
     GPConfig,
     KernelParams,
     fit,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
     mean_hessians,
@@ -47,7 +46,7 @@ def dense_predict_oracle(data: Dataset, params, noise, query, mean=0.0):
     K_inv = np.linalg.inv(K)
     k_vec = kernel_matrix(query[None, :], data.points, params)[0]
     mu = mean + k_vec @ K_inv @ (data.values - mean)
-    var = kernel_eval(query, query, params) - k_vec @ K_inv @ k_vec
+    var = kernel_matrix(query[None], query[None], params)[0, 0] - k_vec @ K_inv @ k_vec
     return mu, var
 
 
@@ -63,11 +62,11 @@ class TestKernels:
     def test_zero_distance_returns_amplitude(self):
         p = KernelParams(amplitude_sq=2.0, length_scale=1.0)
         x = np.array([0.3, -1.2])
-        assert kernel_eval(x, x, p) == 2.0
+        assert kernel_matrix(x[None], x[None], p)[0, 0] == 2.0
 
     def test_large_distance_decays(self):
         p = KernelParams(amplitude_sq=1.0, length_scale=1.0)
-        assert kernel_eval(np.array([0.0]), np.array([100.0]), p) < 1e-40
+        assert kernel_matrix(np.array([[0.0]]), np.array([[100.0]]), p)[0, 0] < 1e-40
 
     def test_matern25_closed_form_matches_bessel_oracle(self):
         rng = np.random.default_rng(42)
@@ -76,23 +75,31 @@ class TestKernels:
         errs = []
         for ratio, ell in zip(ratios, lengths):
             r = ratio * ell
-            closed = kernel_eval(
-                np.array([0.0]), np.array([r]), KernelParams(length_scale=ell)
-            )
+            closed = kernel_matrix(
+                np.array([[0.0]]), np.array([[r]]), KernelParams(length_scale=ell)
+            )[0, 0]
             errs.append(abs(closed - matern_bessel_oracle(r, ell)))
         assert max(errs) < 1e-10
 
     def test_matern25_frozen_value_at_unit_ratio(self):
         p = KernelParams(amplitude_sq=1.0, length_scale=1.0)
-        value = kernel_eval(np.array([0.0]), np.array([1.0]), p)
+        value = kernel_matrix(np.array([[0.0]]), np.array([[1.0]]), p)[0, 0]
         assert value == pytest.approx(MATERN25_AT_UNIT_DISTANCE, abs=1e-12)
 
-    def test_symmetry_is_exact(self):
-        rng = np.random.default_rng(3)
-        p = KernelParams(amplitude_sq=1.3, length_scale=0.7)
-        for _ in range(50):
-            a, b = rng.normal(size=3), rng.normal(size=3)
-            assert kernel_eval(a, b, p) == kernel_eval(b, a, p)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_a=st.integers(1, 12),
+        n_b=st.integers(1, 12),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        log_amplitude=st.floats(np.log(1e-3), np.log(1e3)),
+        log_length=st.floats(np.log(1e-2), np.log(1e2)),
+    )
+    def test_symmetry_is_exact(self, n_a, n_b, dim, seed, log_amplitude, log_length):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(n_a, dim)), rng.normal(size=(n_b, dim))
+        p = KernelParams(float(np.exp(log_amplitude)), float(np.exp(log_length)))
+        np.testing.assert_array_equal(kernel_matrix(a, b, p), kernel_matrix(b, a, p).T)
 
     def test_kernel_matrix_positive_definite_with_noise(self):
         rng = np.random.default_rng(11)
@@ -102,7 +109,7 @@ class TestKernels:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            kernel_eval(np.array([1.0]), np.array([1.0, 2.0]), KernelParams())
+            kernel_matrix(np.array([[1.0]]), np.array([[1.0, 2.0]]), KernelParams())
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -184,12 +191,26 @@ class TestPredict:
             assert mean_b[i] == pytest.approx(mean_s, abs=1e-12)
             assert var_b[i] == pytest.approx(var_s, abs=1e-12)
 
-    def test_posterior_variance_never_exceeds_prior(self):
-        rng = np.random.default_rng(31)
-        data = Dataset(rng.uniform(size=(20, 3)), rng.normal(size=20))
-        gp = fit(data, KernelParams(amplitude_sq=2.0), GPConfig(noise_variance=0.01))
-        _, var = predict(gp, rng.uniform(size=(200, 3)))
-        assert np.all(var <= 2.0 + 1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        log_amplitude=st.floats(np.log(0.1), np.log(10.0)),
+        log_length=st.floats(np.log(0.05), np.log(2.0)),
+        log_noise=st.floats(np.log(1e-4), np.log(1.0)),
+    )
+    def test_posterior_variance_never_exceeds_prior(
+        self, n, dim, seed, log_amplitude, log_length, log_noise
+    ):
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(size=(n, dim)), rng.normal(size=n))
+        amplitude = float(np.exp(log_amplitude))
+        kernel = KernelParams(amplitude, float(np.exp(log_length)))
+        gp = fit(data, kernel, GPConfig(noise_variance=float(np.exp(log_noise))))
+        # Random queries plus the training points, where the variance is smallest.
+        _, var = predict(gp, np.vstack([rng.uniform(size=(50, dim)), data.points]))
+        assert np.all((var >= 0.0) & (var <= amplitude))
 
     def test_observation_reduces_variance_at_point(self):
         rng = np.random.default_rng(37)
@@ -436,7 +457,3 @@ class TestDataset:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf]]), np.array([0.0]))
-
-    def test_append_grows_by_one(self):
-        data = Dataset.empty(2).append(np.array([0.1, 0.2]), 1.0)
-        assert data.n == 1 and data.dim == 2

@@ -431,6 +431,20 @@ class TestOutputs:
         assert row[SUMMARY_COLUMNS.index("noise_std")] == "0.1"
         assert json.loads((tmp_path / "config.json").read_text())["noise_std"] == 0.1
 
+    def test_numpy_config_writes_what_its_plain_twin_writes(self, tmp_path):
+        plain = dict(function="ackley", dim=2, noise_std=0.0, strategy="random",
+                     n_trials=2, base_seed=3)
+        # np.int64, np.float64 and np.str_ values, as a grid built with numpy passes them.
+        as_numpy = {key: np.array(value)[()] for key, value in plain.items()}
+        assert small_config(**as_numpy).to_dict() == small_config(**plain).to_dict()
+        self._run_and_write(tmp_path / "plain", **plain)
+        self._run_and_write(tmp_path / "numpy", **as_numpy)
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "numpy").iterdir())
+        for name in names:
+            written = (tmp_path / "numpy" / name).read_bytes()
+            assert written == (tmp_path / "plain" / name).read_bytes(), name
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FLOAT_FIELDS = [f.name for f in fields(IterationRecord) if f.name not in ("t", "x")]
